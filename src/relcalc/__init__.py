@@ -61,6 +61,7 @@ from .relation import (
     cardinality,
     complement,
     contains,
+    cylinder,
     decode_point,
     empty_relation,
     encode_point,

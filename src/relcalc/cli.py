@@ -10,7 +10,7 @@ import sys
 
 from . import automata, gfpoly, relfile, structure
 from .errors import RelcalcError
-from .relation import cardinality, extend, intersect, is_empty, is_trivial, project
+from .relation import cardinality, extend, is_empty, is_trivial, project
 from .structure import (
     STATUS_PRIME,
     canonical_decomposition,
@@ -177,20 +177,17 @@ def cmd_life(args, out):
 
 def _life_reconstructions(rel, dec):
     """How many of the 8 seven-neighbor reconstructions recover the relation."""
-    by_dropped = {}
+    cylinders = {}
     for entry in dec.consequences:
         dropped = set(rel.domain.points) - set(entry.face.points)
-        by_dropped[dropped.pop()] = entry
-    neighbor_entries = [by_dropped[f"x{i}"] for i in range(8)]
-    x8_entry = by_dropped["x8"]
+        cylinders[dropped.pop()] = extend(entry.relation, rel.domain).bits
     ok = 0
     for skip in range(8):
-        joint = extend(x8_entry.relation, rel.domain)
+        joint = cylinders["x8"]
         for i in range(8):
-            if i == skip:
-                continue
-            joint = intersect(joint, extend(neighbor_entries[i].relation, rel.domain))
-        if joint.bits == rel.bits:
+            if i != skip:
+                joint &= cylinders[f"x{i}"]
+        if joint == rel.bits:
             ok += 1
     return ok
 

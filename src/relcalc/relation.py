@@ -5,14 +5,31 @@ q^k assignment tuples.  Tuple (s0, ..., s_{k-1}) gets the ordinal
 s0 + s1*q + s2*q^2 + ... (little-endian, s0 belongs to the first point),
 and bit i of the table is set iff the tuple with ordinal i is a member.
 Tables live in Python ints, so the set operations are single bitwise ops.
+
+Extension, projection and reordering also work on the whole table at
+once.  Point j is digit j of the ordinal, so the cells whose digit j is 0
+form a periodic pattern: a run of q^j cells in every q^(j+1).  Masking
+with that pattern picks one slice of the table, and shifting by v*q^j
+moves the slice to digit value v; shifting by a multiple of q^j larger
+than that moves digits between places.  A call to `extend`, `project` or
+`cylinder` therefore costs O(k*q) big-int operations, `permute_points`
+O(k^2*q^2), each linear in the table size, and `members` scans the set
+bits only.  The masks are built on first use and kept in a small cache.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import DomainError, FormatError, UnsupportedError
 
-# Guard against accidentally astronomic tables (q^k cells).
-MAX_TABLE_CELLS = 2 ** 32
+# Largest table a domain may have.  A table is one int of q^k bits and a
+# kernel call holds a few of them plus up to ~2k cached masks of the same
+# size, so 2^24 cells (2 MiB per int) keeps a process under ~200 MiB and
+# one call within a few seconds (a full reordering of 24 binary points,
+# the worst case, makes 276 delta swaps).  Larger domains fail when they
+# are built, before any table is allocated.
+MAX_TABLE_CELLS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -72,7 +89,7 @@ class Relation:
     bits: int
 
     def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.domain.size):
+        if self.bits < 0 or self.bits.bit_length() > self.domain.size:
             raise FormatError(
                 f"bit table out of range for {self.domain.size} cells")
 
@@ -191,15 +208,21 @@ def contains(rel, states):
 
 
 def members(rel):
-    """Iterate member tuples in ordinal order."""
+    """Iterate member tuples in ordinal order.
+
+    Only the set bits are visited; each ordinal splits into a low and a
+    high half whose state tuples are tabulated once per call.
+    """
     k, q = rel.domain.k, rel.domain.q
-    bits = rel.bits
-    i = 0
-    while bits:
-        if bits & 1:
-            yield decode_point(i, k, q)
-        bits >>= 1
-        i += 1
+    half = k // 2
+    low = [t[::-1] for t in itertools.product(range(q), repeat=half)]
+    high = [t[::-1] for t in itertools.product(range(q), repeat=k - half)]
+    table = format(rel.bits, "b")[::-1]
+    i = table.find("1")
+    while i >= 0:
+        hi, lo = divmod(i, len(low))
+        yield low[lo] + high[hi]
+        i = table.find("1", i + 1)
 
 
 def cardinality(rel):
@@ -227,6 +250,111 @@ def complement(rel):
     return Relation(rel.domain, ~rel.bits & (1 << rel.size) - 1)
 
 
+# --- the bit-parallel kernel: whole-table moves of ordinal digits -----------
+
+
+@functools.lru_cache(maxsize=64)
+def _zero_mask(q, k, lo, hi):
+    """Cells of a q^k table whose digits at places lo..hi-1 are all 0."""
+    mask, width = (1 << q ** lo) - 1, q ** hi
+    for _ in range(hi, k):
+        mask = _spread(mask, width, q)
+        width *= q
+    return mask
+
+
+def _spread(bits, step, q):
+    """bits with copies shifted up by step, 2*step, ..., (q-1)*step."""
+    out = bits
+    for v in range(1, q):
+        out |= bits << v * step
+    return out
+
+
+def _fold(bits, q, k, place):
+    """Existential fold over the digit at place.
+
+    A cell with that digit 0 comes out set iff the cell is set for some
+    value of the digit; every other cell comes out clear.
+    """
+    step = q ** place
+    out = bits
+    for v in range(1, q):
+        out |= bits >> v * step
+    return out & _zero_mask(q, k, place, place + 1)
+
+
+def _move_digit(bits, q, k, src, dst):
+    """Move each cell's digit at place src to place dst, where digit dst is 0.
+
+    Only the cells' positions change, by v*(q^dst - q^src) for digit value v.
+    """
+    mask = _zero_mask(q, k, src, src + 1)
+    out = bits & mask
+    for v in range(1, q):
+        out |= ((bits >> v * q ** src) & mask) << v * q ** dst
+    return out
+
+
+def _insert(bits, q, k, places):
+    """Move digit t of each cell to place places[t] (increasing) in a q^k table.
+
+    Top-down, so a digit still to move keeps its place: every earlier
+    shift is a multiple of q^(t+1).  The new digits are 0.
+    """
+    for t in reversed(range(len(places))):
+        if places[t] == t:
+            break
+        bits = _move_digit(bits, q, k, t, places[t])
+    return bits
+
+
+def _compress(bits, q, k, places):
+    """Inverse of _insert: digit places[t] goes to place t; all other digits are 0.
+
+    Bottom-up, so a digit still to move keeps its place: the digits moved
+    so far sit below place t.
+    """
+    for t, place in enumerate(places):
+        if place != t:
+            bits = _move_digit(bits, q, k, place, t)
+    return bits
+
+
+def _swap_places(bits, q, k, i):
+    """Exchange digits i and i+1 of every cell by delta swaps (Knuth 7.1.3).
+
+    The cell with digits (a, b) at (i, i+1) trades bits with the cell
+    holding (b, a), which lies (b-a)*(q-1)*q^i below it when b > a.
+    """
+    low, high = q ** i, q ** (i + 1)
+    mask = _zero_mask(q, k, i, i + 2)
+    for a in range(q):
+        for b in range(a + 1, q):
+            delta = (b - a) * (high - low)
+            t = (bits ^ (bits >> delta)) & (mask << (b * low + a * high))
+            bits ^= t | (t << delta)
+    return bits
+
+
+def _reorder(bits, q, points, new_points):
+    """Table of the same relation with its points stored in new_points order."""
+    k, current = len(points), list(points)
+    for t, point in enumerate(new_points):
+        for i in range(current.index(point) - 1, t - 1, -1):
+            bits = _swap_places(bits, q, k, i)
+            current[i], current[i + 1] = current[i + 1], current[i]
+    return bits
+
+
+def _as_face(rel, face):
+    if isinstance(face, (tuple, list, set, frozenset)):
+        face = rel.domain.face(face)
+    if face.q != rel.domain.q:
+        raise DomainError(f"state counts differ: {rel.domain.q} vs {face.q}")
+    return face
+
+
 def extend(rel, superdomain):
     """Cylinder of a relation over a larger domain.
 
@@ -235,15 +363,15 @@ def extend(rel, superdomain):
     """
     if superdomain.q != rel.domain.q:
         raise DomainError(f"state counts differ: {rel.domain.q} vs {superdomain.q}")
-    positions = [superdomain.index(p) for p in rel.domain.points]
     q, k = superdomain.q, superdomain.k
-    value = 0
-    for i in range(superdomain.size):
-        t = decode_point(i, k, q)
-        sub = tuple(t[j] for j in positions)
-        if rel.bits >> encode_point(sub, q) & 1:
-            value |= 1 << i
-    return Relation(superdomain, value)
+    places = sorted(superdomain.index(p) for p in rel.domain.points)
+    in_order = tuple(superdomain.points[j] for j in places)
+    bits = _insert(_reorder(rel.bits, q, rel.domain.points, in_order), q, k, places)
+    kept = set(places)
+    for j in range(k):
+        if j not in kept:
+            bits = _spread(bits, q ** j, q)
+    return Relation(superdomain, bits)
 
 
 def project(rel, subdomain):
@@ -251,17 +379,35 @@ def project(rel, subdomain):
 
     The result is the smallest relation on the face whose cylinder contains rel.
     """
-    if isinstance(subdomain, (tuple, list, set, frozenset)):
-        subdomain = rel.domain.face(subdomain)
-    if subdomain.q != rel.domain.q:
-        raise DomainError(f"state counts differ: {rel.domain.q} vs {subdomain.q}")
-    positions = [rel.domain.index(p) for p in subdomain.points]
-    q = rel.domain.q
-    value = 0
-    for t in members(rel):
-        sub = tuple(t[j] for j in positions)
-        value |= 1 << encode_point(sub, q)
-    return Relation(subdomain, value)
+    subdomain = _as_face(rel, subdomain)
+    domain = rel.domain
+    q, k = domain.q, domain.k
+    places = sorted(domain.index(p) for p in subdomain.points)
+    kept = set(places)
+    bits = rel.bits
+    for j in range(k):
+        if j not in kept:
+            bits = _fold(bits, q, k, j)
+    bits = _compress(bits, q, k, places)
+    in_order = tuple(domain.points[j] for j in places)
+    return Relation(subdomain, _reorder(bits, q, in_order, subdomain.points))
+
+
+def cylinder(rel, face):
+    """extend(project(rel, face), rel.domain), computed on rel's own table.
+
+    Nothing is compressed to the face, so this is the cheap way to test
+    a projection for triviality: it is trivial iff its cylinder is.
+    """
+    face = _as_face(rel, face)
+    domain = rel.domain
+    q, k = domain.q, domain.k
+    kept = {domain.index(p) for p in face.points}
+    bits = rel.bits
+    for j in range(k):
+        if j not in kept:
+            bits = _spread(_fold(bits, q, k, j), q ** j, q)
+    return Relation(domain, bits)
 
 
 def permute_points(rel, new_order):
@@ -271,17 +417,7 @@ def permute_points(rel, new_order):
         raise DomainError(
             f"{new_pts} is not a permutation of {rel.domain.points}")
     new_dom = Domain(new_pts, rel.domain.q)
-    positions = [rel.domain.index(p) for p in new_pts]
-    q, k = new_dom.q, new_dom.k
-    old = [0] * k
-    value = 0
-    for i in range(new_dom.size):
-        t = decode_point(i, k, q)
-        for j, pos in enumerate(positions):
-            old[pos] = t[j]
-        if rel.bits >> encode_point(old, q) & 1:
-            value |= 1 << i
-    return Relation(new_dom, value)
+    return Relation(new_dom, _reorder(rel.bits, new_dom.q, rel.domain.points, new_pts))
 
 
 def rename_points(rel, mapping):

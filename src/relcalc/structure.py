@@ -14,6 +14,7 @@ from .relation import (
     Relation,
     cardinality,
     complement,
+    cylinder,
     extend,
     intersect,
     is_empty,
@@ -145,12 +146,7 @@ def proper_consequences(rel, codim=None):
     """
     if is_empty(rel):
         raise DegenerateError("consequences of the empty relation are uninformative")
-    entries = []
-    for face in proper_faces(rel.domain, codim):
-        proj = project(rel, face)
-        if not is_trivial(proj):
-            entries.append(ConsequenceEntry(face, proj))
-    return entries
+    return _consequences(rel, codim)[0]
 
 
 def principal_factor(rel, consequences):
@@ -171,21 +167,31 @@ def principal_factor(rel, consequences):
     return union(rel, complement(joint))
 
 
+def _consequences(rel, codim):
+    """Nontrivial projections onto proper faces and the intersection of their cylinders.
+
+    Each cylinder is built on rel's own table; a projection is trivial iff
+    its cylinder is full, so only the nontrivial ones are compressed to
+    their face.  The joint cylinder comes back as a relation on rel's domain.
+    """
+    full = trivial_relation(rel.domain).bits
+    entries, joint = [], full
+    for face in proper_faces(rel.domain, codim):
+        cyl = cylinder(rel, face).bits
+        if cyl != full:
+            entries.append(ConsequenceEntry(face, project(rel, face)))
+            joint &= cyl
+    return entries, Relation(rel.domain, joint)
+
+
 def canonical_decomposition(rel):
     """Codimension-1 consequences and the principal factor."""
     if is_empty(rel):
         raise DegenerateError("empty relation has no canonical decomposition")
     if is_trivial(rel):
         raise DegenerateError("trivial relation has no canonical decomposition")
-    consequences = tuple(proper_consequences(rel, codim=1))
-    return CanonicalDecomposition(rel, consequences, principal_factor(rel, consequences))
-
-
-def _joint_cylinder(rel, consequences):
-    joint = trivial_relation(rel.domain)
-    for entry in consequences:
-        joint = intersect(joint, extend(entry.relation, rel.domain))
-    return joint
+    consequences, joint = _consequences(rel, codim=1)
+    return CanonicalDecomposition(rel, tuple(consequences), union(rel, complement(joint)))
 
 
 def is_reducible(rel):
@@ -195,8 +201,7 @@ def is_reducible(rel):
     """
     if is_empty(rel) or is_trivial(rel):
         raise DegenerateError("reducibility is defined for nonempty nontrivial relations")
-    consequences = proper_consequences(rel, codim=1)
-    return _joint_cylinder(rel, consequences).bits == rel.bits
+    return _consequences(rel, codim=1)[1] == rel
 
 
 def is_prime(rel):
@@ -227,15 +232,14 @@ def decomposition_tree(rel):
         elif is_trivial(r):
             node = DecompositionTree(r, STATUS_TRIVIAL, (), r)
         else:
-            consequences = proper_consequences(r, codim=1)
+            consequences, joint = _consequences(r, codim=1)
             if not consequences:
                 node = DecompositionTree(r, STATUS_PRIME, (), None)
             else:
                 children = tuple(build(e.relation) for e in consequences)
-                reducible = _joint_cylinder(r, consequences).bits == r.bits
-                status = STATUS_REDUCIBLE if reducible else STATUS_IRREDUCIBLE
+                status = STATUS_REDUCIBLE if joint == r else STATUS_IRREDUCIBLE
                 node = DecompositionTree(
-                    r, status, children, principal_factor(r, consequences))
+                    r, status, children, union(r, complement(joint)))
         memo[key] = node
         return node
 

@@ -2,7 +2,8 @@
 
 Relations are plain sets of state tuples here, with points tracked as a
 separate name tuple.  Nothing in this module uses the package's bit
-tables except the boundary converters.
+tables except the boundary converter `member_list`, which reads them one
+cell at a time without calling the package.
 """
 
 import itertools
@@ -16,17 +17,29 @@ from relcalc import (
     intersect,
     is_trivial,
     is_reducible,
-    members,
     project,
 )
 
 
-def to_members(rel):
-    return set(members(rel))
-
-
 def all_tuples(k, q):
     return itertools.product(range(q), repeat=k)
+
+
+def member_list(rel):
+    """Member tuples in ordinal order, decoded cell by cell."""
+    out = []
+    for i in range(rel.domain.size):
+        if rel.bits >> i & 1:
+            ordinal, states = i, []
+            for _ in range(rel.domain.k):
+                ordinal, s = divmod(ordinal, rel.domain.q)
+                states.append(s)
+            out.append(tuple(states))
+    return out
+
+
+def to_members(rel):
+    return set(member_list(rel))
 
 
 def o_project(member_set, src_points, dst_points):

@@ -1,5 +1,7 @@
 """Command line interface: golden outputs and exit codes."""
 
+import time
+
 import pytest
 
 from relcalc import parse_relations, wolfram_relation
@@ -141,6 +143,23 @@ def test_base_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "base", str(tmp_path / "nope.rel"))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_base_over_table_limit_fails_fast(capsys, tmp_path):
+    # five 5-point binary files whose union has 2^25 cells, past the limit
+    paths = []
+    for i in range(5):
+        points = " ".join(f"v{5 * i + j}" for j in range(5))
+        path = tmp_path / f"part{i}.rel"
+        path.write_text(f"q 2\npoints {points}\nbits {'1' * 32}\n")
+        paths.append(str(path))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "base", *paths)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: table would need 2^25 cells")
+    assert elapsed < 1.0
 
 
 def test_project_golden(capsys, tmp_path):

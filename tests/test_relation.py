@@ -85,6 +85,15 @@ def test_domain_guards():
         Domain(tuple(f"v{i}" for i in range(33)), 2)
 
 
+def test_domain_table_limit():
+    # 2^24 cells is the largest table; building the domain allocates none
+    assert Domain(tuple(f"v{i}" for i in range(24)), 2).size == 2 ** 24
+    with pytest.raises(UnsupportedError):
+        Domain(tuple(f"v{i}" for i in range(25)), 2)
+    with pytest.raises(UnsupportedError):
+        Domain(tuple(f"v{i}" for i in range(16)), 3)
+
+
 def test_bit_string_orientation():
     d = Domain(("a", "b"), 2)
     rel = relation_from_members(d, [(1, 0)])
