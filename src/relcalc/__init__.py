@@ -13,7 +13,6 @@ from .automata import (
     MIRROR_TABLE,
     QUOTED_1101_RULES,
     RULE_POINTS,
-    ZERO_DIM_TABLES,
     ClassificationSummary,
     ElementaryRule,
     Trajectory,
@@ -50,7 +49,6 @@ from .gfpoly import (
     polynomial_to_string,
     relation_to_polynomial,
     sigma_polynomial,
-    sorted_terms,
     variable,
     zero,
 )

@@ -16,8 +16,7 @@ from .structure import (
     STATUS_IRREDUCIBLE,
     STATUS_PRIME,
     STATUS_REDUCIBLE,
-    is_reducible,
-    proper_consequences,
+    canonical_decomposition,
 )
 
 RULE_POINTS = ("p", "q", "r", "s")
@@ -70,23 +69,23 @@ class ClassificationSummary:
 
     @property
     def reducible(self):
-        return tuple(n for n, s in enumerate(self.statuses) if s == "reducible")
+        return tuple(n for n, s in enumerate(self.statuses) if s == STATUS_REDUCIBLE)
 
     @property
     def irreducible(self):
         """Irreducible rules including the prime ones."""
-        return tuple(n for n, s in enumerate(self.statuses) if s != "reducible")
+        return tuple(n for n, s in enumerate(self.statuses) if s != STATUS_REDUCIBLE)
 
     @property
     def prime(self):
-        return tuple(n for n, s in enumerate(self.statuses) if s == "prime")
+        return tuple(n for n, s in enumerate(self.statuses) if s == STATUS_PRIME)
 
     @property
     def counts(self):
         return {
-            "reducible": len(self.reducible),
-            "irreducible": len(self.irreducible),
-            "prime": len(self.prime),
+            STATUS_REDUCIBLE: len(self.reducible),
+            STATUS_IRREDUCIBLE: len(self.irreducible),
+            STATUS_PRIME: len(self.prime),
         }
 
     @property
@@ -163,13 +162,7 @@ def classify_all_rules():
     with_1101 = []
     for n in range(256):
         rel = wolfram_relation(n).relation
-        consequences = proper_consequences(rel, codim=1)
-        if not consequences:
-            statuses.append(STATUS_PRIME)
-        elif is_reducible(rel):
-            statuses.append(STATUS_REDUCIBLE)
-        else:
-            statuses.append(STATUS_IRREDUCIBLE)
+        statuses.append(canonical_decomposition(rel).status)
         hits = absorbing_consequences(rel)
         if hits:
             with_1101.append((n, hits))

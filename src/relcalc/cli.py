@@ -6,29 +6,19 @@ failed expectation, 2 for usage and input format errors.
 """
 
 import argparse
+import functools
 import sys
 
 from . import automata, gfpoly, relfile, structure
 from .errors import RelcalcError
-from .relation import cardinality, extend, is_empty, is_trivial, project
+from .relation import cardinality, extend, is_empty, project
 from .structure import (
     STATUS_PRIME,
     canonical_decomposition,
     decomposition_tree,
     group_by_symmetry,
     impose_topology,
-    is_reducible,
 )
-
-
-def _status_of(rel):
-    if is_empty(rel):
-        return "empty"
-    if is_trivial(rel):
-        return "trivial"
-    if structure.is_prime(rel):
-        return STATUS_PRIME
-    return "reducible" if is_reducible(rel) else "irreducible"
 
 
 def _point_list(arg):
@@ -55,11 +45,10 @@ def cmd_rule(args, out):
     rule = automata.wolfram_relation(args.number)
     rel = rule.relation
     dec = canonical_decomposition(rel)
-    status = _status_of(rel)
 
     if args.format == "records":
         records = [relfile.format_relation(
-            rel, extra={"rule": rule.number, "status": status})]
+            rel, extra={"rule": rule.number, "status": dec.status})]
         for entry in dec.consequences:
             records.append(relfile.format_relation(
                 entry.relation, extra={"rule": rule.number, "kind": "consequence"}))
@@ -72,7 +61,7 @@ def cmd_rule(args, out):
     out.write("points " + " ".join(rel.domain.points) + "\n")
     out.write(f"bit table {rel.bit_string()}\n")
     out.write(f"cardinality {cardinality(rel)}\n")
-    out.write(f"status {status}\n")
+    out.write(f"status {dec.status}\n")
     if args.poly:
         out.write(f"polynomial {gfpoly.polynomial_to_string(gfpoly.relation_to_polynomial(rel))}\n")
     out.write(f"consequences {len(dec.consequences)}\n")
@@ -133,6 +122,7 @@ def cmd_classify_all(args, out):
 
 def cmd_life(args, out):
     rel = automata.life_relation()
+    rel.domain.face(args.symmetric)  # unknown or repeated points raise DomainError
     dec = canonical_decomposition(rel)
 
     if args.format == "records":
@@ -146,7 +136,7 @@ def cmd_life(args, out):
     out.write("life relation\n")
     out.write("points " + " ".join(rel.domain.points) + "\n")
     out.write(f"cardinality {cardinality(rel)}\n")
-    out.write(f"status {_status_of(rel)}\n")
+    out.write(f"status {dec.status}\n")
 
     sym = args.symmetric
     classes = group_by_symmetry(dec.consequences, sym)
@@ -257,6 +247,7 @@ def cmd_topology(args, out):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="relcalc",

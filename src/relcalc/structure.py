@@ -49,6 +49,15 @@ class CanonicalDecomposition:
     consequences: tuple[ConsequenceEntry, ...]
     principal_factor: Relation
 
+    @property
+    def status(self):
+        """Prime without consequences, reducible if the factor is trivial, else irreducible."""
+        if not self.consequences:
+            return STATUS_PRIME
+        if is_trivial(self.principal_factor):
+            return STATUS_REDUCIBLE
+        return STATUS_IRREDUCIBLE
+
 
 @dataclass(frozen=True)
 class DecompositionTree:
@@ -201,7 +210,7 @@ def is_reducible(rel):
     """
     if is_empty(rel) or is_trivial(rel):
         raise DegenerateError("reducibility is defined for nonempty nontrivial relations")
-    return _consequences(rel, codim=1)[1] == rel
+    return canonical_decomposition(rel).status == STATUS_REDUCIBLE
 
 
 def is_prime(rel):
@@ -212,7 +221,7 @@ def is_prime(rel):
     """
     if is_empty(rel) or is_trivial(rel):
         raise DegenerateError("primality is defined for nonempty nontrivial relations")
-    return not proper_consequences(rel, codim=1)
+    return canonical_decomposition(rel).status == STATUS_PRIME
 
 
 def decomposition_tree(rel):
@@ -232,14 +241,10 @@ def decomposition_tree(rel):
         elif is_trivial(r):
             node = DecompositionTree(r, STATUS_TRIVIAL, (), r)
         else:
-            consequences, joint = _consequences(r, codim=1)
-            if not consequences:
-                node = DecompositionTree(r, STATUS_PRIME, (), None)
-            else:
-                children = tuple(build(e.relation) for e in consequences)
-                status = STATUS_REDUCIBLE if joint == r else STATUS_IRREDUCIBLE
-                node = DecompositionTree(
-                    r, status, children, union(r, complement(joint)))
+            dec = canonical_decomposition(r)
+            children = tuple(build(e.relation) for e in dec.consequences)
+            factor = None if dec.status == STATUS_PRIME else dec.principal_factor
+            node = DecompositionTree(r, dec.status, children, factor)
         memo[key] = node
         return node
 

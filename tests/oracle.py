@@ -85,6 +85,17 @@ def o_is_prime(member_set, points, q):
     return not o_codim1_consequences(member_set, points, q)
 
 
+def o_status(member_set, points, q):
+    """'empty', 'trivial', 'prime', 'reducible' or 'irreducible' by brute force."""
+    if not member_set:
+        return "empty"
+    if o_is_trivial(member_set, len(points), q):
+        return "trivial"
+    if o_is_prime(member_set, points, q):
+        return "prime"
+    return "reducible" if o_is_reducible(member_set, points, q) else "irreducible"
+
+
 def o_principal_factor(member_set, points, q):
     joint = o_joint_cylinder(member_set, points, q)
     full = set(all_tuples(len(points), q))

@@ -4,21 +4,10 @@ import time
 
 import pytest
 
-from relcalc import parse_relations, wolfram_relation
+from relcalc import classify_all_rules, parse_relations, structure, wolfram_relation
 from relcalc.cli import main
 
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_rule_30_poly_golden(capsys):
-    code, out, err = run(capsys, "rule", "30", "--poly")
-    assert code == 0
-    assert err == ""
-    assert out == """\
+RULE_30_POLY = """\
 rule 30
 points p q r s
 bit table 1001010101101010
@@ -31,6 +20,50 @@ consequences 2
 principal factor 1011111101111111
 principal factor polynomial qrs+pqr+rs+qs+pr+pq+s+p
 """
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_rule_30_poly_golden(capsys):
+    code, out, err = run(capsys, "rule", "30", "--poly")
+    assert code == 0
+    assert err == ""
+    assert out == RULE_30_POLY
+
+
+def test_parser_survives_usage_error(capsys):
+    # the parser is built once per process; a failed parse must not leave
+    # state behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["nonsense"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, "rule", "30", "--poly")
+    assert code == 0
+    assert err == ""
+    assert out == RULE_30_POLY
+
+
+def test_one_codim1_pass_per_relation(capsys, monkeypatch):
+    calls = []
+    real = structure._consequences
+
+    def counting(rel, codim):
+        calls.append(rel.domain.points)
+        return real(rel, codim)
+
+    monkeypatch.setattr(structure, "_consequences", counting)
+    for argv in (["rule", "30"], ["life"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
+    calls.clear()
+    classify_all_rules()
+    assert len(calls) == 256
 
 
 def test_rule_150_prime_golden(capsys):
@@ -115,6 +148,20 @@ def test_life_decompose(capsys):
     assert code == 0
     assert "decomposition: 326 faces analyzed, 70 prime leaves" in out
     assert "prime leaf sizes: 5" in out
+
+
+@pytest.mark.parametrize("points", ["x0,zz", "x0,x1,x0"])
+def test_life_symmetric_rejects_bad_points(capsys, points):
+    code, out, err = run(capsys, "life", "--symmetric", points)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_life_symmetric_keeps_given_order(capsys):
+    code, out, err = run(capsys, "life", "--symmetric", "x3,x1")
+    assert code == 0
+    assert "classes up to permuting x3,x1\n" in out
 
 
 def test_base_compatible(capsys, tmp_path):

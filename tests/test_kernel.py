@@ -1,8 +1,8 @@
 """Differential tests of the bit-parallel kernel against the set oracle.
 
 Every kernel entry point (extend, project, cylinder, permute_points,
-members and the codimension-1 analysis) is compared with tests/oracle.py
-for q in {2, 3, 5} and up to six points.  Point names and faces come in
+members, the codimension-1 analysis and the decomposition tree) is
+compared with tests/oracle.py for q in {2, 3, 5} and up to six points.  Point names and faces come in
 arbitrary order, so the axis-reordering path is reached as well.  The
 algebraic laws are checked on the same inputs.
 """
@@ -15,6 +15,7 @@ from relcalc import (
     Relation,
     canonical_decomposition,
     cylinder,
+    decomposition_tree,
     extend,
     intersect,
     is_empty,
@@ -125,6 +126,18 @@ def test_codim1_analysis_matches_oracle(domain, data):
         mem, domain.points, q)
     assert is_reducible(rel) == oracle.o_is_reducible(mem, domain.points, q)
     assert is_prime(rel) == oracle.o_is_prime(mem, domain.points, q)
+    assert dec.status == oracle.o_status(mem, domain.points, q)
+
+
+@given(domains(), st.data())
+def test_decomposition_tree_matches_oracle(domain, data):
+    """Each node holds the projection onto its face and that projection's status."""
+    rel = relation(data.draw, domain)
+    mem, q = oracle.to_members(rel), domain.q
+    for node in decomposition_tree(rel).walk():
+        got = oracle.to_members(node.relation)
+        assert got == oracle.o_project(mem, domain.points, node.face)
+        assert node.status == oracle.o_status(got, node.face, q)
 
 
 @given(domains(), st.data())

@@ -20,6 +20,7 @@ from relcalc import (
     base_relation,
     canonical_decomposition,
     cardinality,
+    classify_all_rules,
     count_consequences,
     decomposition_tree,
     empty_relation,
@@ -183,9 +184,11 @@ def test_canonical_decomposition_degenerate_inputs():
 
 
 def test_reducible_and_prime_all_rules_match_oracle():
+    statuses = classify_all_rules().statuses
     for n in range(256):
         r = rule(n)
         mem = oracle.to_members(r)
+        assert statuses[n] == oracle.o_status(mem, r.domain.points, 2)
         reducible = is_reducible(r)
         prime = is_prime(r)
         assert reducible == oracle.o_is_reducible(mem, r.domain.points, 2)
