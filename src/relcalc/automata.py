@@ -4,14 +4,27 @@ Builds the 256 nearest-neighbor binary rules on points (p, q, r, s) with
 s the next state of the center, classifies every rule through the
 decomposition calculus, simulates 1-D evolutions on a periodic lattice,
 and checks the printed closed-form solutions.
+
+Simulation and trajectory checks work on whole rows.  A row is packed
+into an int, bit x = cell x, so the window points p, q and r of every x
+at once are two rotations of the row and the row itself, and s is the
+next row.  A rule's next row is the OR of its set minterms, each an AND
+of the three rows or their complements.  A check reads the forbidden
+patterns off each relation's table (its non-member cells whose states
+are all 0/1) and ORs the AND of each pattern's window rows into that
+relation's violation mask.  A row costs O(width) big-int operations per
+minterm or forbidden pattern, not one membership test per window.
 """
 
+import functools
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedError
-from .relation import Domain, Relation, contains, decode_point, project
+from .relation import Domain, Relation, decode_point, encode_point, project
 from .structure import (
     STATUS_IRREDUCIBLE,
     STATUS_PRIME,
@@ -182,13 +195,52 @@ def simulate(rule, init, steps):
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     width = len(row)
+    mask = (1 << width) - 1
+    minterms = [tuple(enumerate(m)) for m in itertools.product((0, 1), repeat=3) if f(*m)]
+    bits = _pack(row)
     rows = [row]
     for _ in range(steps):
-        prev = rows[-1]
-        rows.append(tuple(
-            f(prev[(x - 1) % width], prev[x], prev[(x + 1) % width])
-            for x in range(width)))
+        bits = _matches(_literals(_neighbors(bits, width), mask), minterms)
+        rows.append(_unpack(bits, width))
     return Trajectory(rule, width, steps, tuple(rows))
+
+
+# Byte translations between a row's cells (one 0/1 byte each) and binary digits.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_CELLS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pack(row):
+    """A 0/1 row as an int, bit x = cell x."""
+    return int(bytes(row)[::-1].translate(_DIGITS), 2)
+
+
+def _unpack(bits, width):
+    """Inverse of _pack for a row of the given width."""
+    return tuple(format(bits, f"0{width}b")[::-1].encode().translate(_CELLS))
+
+
+def _neighbors(bits, width):
+    """Packed p, q, r rows of a periodic row: bit x holds cell x-1, x, x+1."""
+    left = (bits << 1 | bits >> (width - 1)) & ((1 << width) - 1)
+    right = bits >> 1 | (bits & 1) << (width - 1)
+    return left, bits, right
+
+
+def _literals(rows, mask):
+    """(complement, row) of each packed row, so lits[i][state] selects on a state."""
+    return [(bits ^ mask, bits) for bits in rows]
+
+
+def _matches(lits, patterns):
+    """Cells whose window matches one of the (place, state) patterns, packed."""
+    out = 0
+    for pattern in patterns:
+        hit = -1
+        for place, state in pattern:
+            hit &= lits[place][state]
+        out |= hit
+    return out
 
 
 def random_row(width, seed=None):
@@ -240,33 +292,73 @@ class TrajectoryReport:
         return not self.rule_violations and not self.consequence_violations
 
 
-_OFFSETS = {"p": (-1, 0), "q": (0, 0), "r": (1, 0), "s": (0, 1)}
-
-
 def check_trajectory(rule, traj, consequences=None):
     """Verify every space-time window against the rule and optional face relations.
 
     Checks each window ((x-1, t), (x, t), (x+1, t), (x, t+1)) for
     membership in the rule's relation, and each supplied consequence on
-    the matching subset of the window.  Reports (x, t) pairs that fail.
+    the matching subset of the window.  Reports (x, t) pairs that fail,
+    by time then position, and each failing consequence after the
+    previous ones at the same window.  A trajectory whose row count,
+    row lengths or states do not fit it raises DomainError.
     """
     if isinstance(rule, int):
         rule = wolfram_relation(rule)
-    rel = rule.relation
+    rule_patterns = _forbidden_patterns(rule.relation, RULE_POINTS)
+    entries = tuple(consequences or ())
+    cons_patterns = [_forbidden_patterns(e.relation, e.face.points) for e in entries]
+    packed = _pack_trajectory(traj)
+    width = traj.width
+    mask = (1 << width) - 1
     rule_bad = []
     cons_bad = []
-    width = traj.width
     for t in range(traj.steps):
-        for x in range(width):
-            window = {
-                name: traj.rows[t + dt][(x + dx) % width]
-                for name, (dx, dt) in _OFFSETS.items()
-            }
-            states = tuple(window[name] for name in RULE_POINTS)
-            if not contains(rel, states):
-                rule_bad.append((x, t))
-            for entry in consequences or ():
-                face_states = tuple(window[name] for name in entry.face.points)
-                if not contains(entry.relation, face_states):
-                    cons_bad.append((entry.face.points, x, t))
+        lits = _literals(_neighbors(packed[t], width) + (packed[t + 1],), mask)
+        rule_bad.extend((x, t) for x in _cells(_matches(lits, rule_patterns)))
+        cons_masks = [_matches(lits, patterns) for patterns in cons_patterns]
+        for x in _cells(functools.reduce(operator.or_, cons_masks, 0)):
+            cons_bad.extend((entry.face.points, x, t)
+                            for entry, bad in zip(entries, cons_masks) if bad >> x & 1)
     return TrajectoryReport(tuple(rule_bad), tuple(cons_bad))
+
+
+def _pack_trajectory(traj):
+    """Packed rows of a trajectory, after checking its shape and states."""
+    if len(traj.rows) != traj.steps + 1:
+        raise DomainError(
+            f"trajectory has {len(traj.rows)} rows, {traj.steps} steps need {traj.steps + 1}")
+    if traj.width < 1:
+        raise DomainError(f"trajectory width {traj.width} is not positive")
+    packed = []
+    for t, row in enumerate(traj.rows):
+        if len(row) != traj.width:
+            raise DomainError(f"row {t} has {len(row)} cells, width is {traj.width}")
+        if set(row) - {0, 1}:
+            raise DomainError(f"row {t} holds a state other than 0/1")
+        packed.append(_pack(row))
+    return packed
+
+
+def _forbidden_patterns(rel, points):
+    """Window patterns rel rejects: its non-member cells whose states are all 0/1.
+
+    points names the window point each table position reads, in order;
+    a pattern is the (position in RULE_POINTS, state) pair of each.
+    """
+    if len(points) != rel.domain.k:
+        raise DomainError(
+            f"tuple arity {len(points)} does not match domain arity {rel.domain.k}")
+    if set(points) - set(RULE_POINTS):
+        raise DomainError(f"face {points} is not on the window points {RULE_POINTS}")
+    places = [RULE_POINTS.index(p) for p in points]
+    return [tuple(zip(places, states))
+            for states in itertools.product((0, 1), repeat=len(points))
+            if not rel.bits >> encode_point(states, rel.domain.q) & 1]
+
+
+def _cells(bits):
+    """Positions of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low

@@ -222,8 +222,9 @@ def cmd_simulate(args, out):
         raise RelcalcError(
             f"initial row has {len(init)} cells, width is {args.width}")
     traj = automata.simulate(args.number, init, args.steps)
+    digits = bytes.maketrans(b"\0\1", b"01")
     for row in traj.rows:
-        out.write("".join(str(v) for v in row) + "\n")
+        out.write(bytes(row).translate(digits).decode() + "\n")
     if args.check:
         rule = automata.wolfram_relation(args.number)
         consequences = structure.proper_consequences(rule.relation, codim=1)

@@ -230,25 +230,30 @@ def decomposition_tree(rel):
     Projections are path independent, so each face's node is built once
     and shared; the children tuples therefore form a DAG.
     """
-    memo = {}
+    return _tree_node(rel, {})
 
-    def build(r):
-        key = frozenset(r.domain.points)
-        if key in memo:
-            return memo[key]
-        if is_empty(r):
-            node = DecompositionTree(r, STATUS_EMPTY, (), None)
-        elif is_trivial(r):
-            node = DecompositionTree(r, STATUS_TRIVIAL, (), r)
-        else:
-            dec = canonical_decomposition(r)
-            children = tuple(build(e.relation) for e in dec.consequences)
-            factor = None if dec.status == STATUS_PRIME else dec.principal_factor
-            node = DecompositionTree(r, dec.status, children, factor)
-        memo[key] = node
-        return node
 
-    return build(rel)
+def _tree_node(r, memo):
+    """The node of r, built once per face and kept in memo by its point set.
+
+    A module-level function rather than a closure: a recursive closure
+    holds itself through its own cell, a cycle that would keep memo and
+    every node's relation alive until the cyclic collector runs.
+    """
+    key = frozenset(r.domain.points)
+    if key in memo:
+        return memo[key]
+    if is_empty(r):
+        node = DecompositionTree(r, STATUS_EMPTY, (), None)
+    elif is_trivial(r):
+        node = DecompositionTree(r, STATUS_TRIVIAL, (), r)
+    else:
+        dec = canonical_decomposition(r)
+        children = tuple(_tree_node(e.relation, memo) for e in dec.consequences)
+        factor = None if dec.status == STATUS_PRIME else dec.principal_factor
+        node = DecompositionTree(r, dec.status, children, factor)
+    memo[key] = node
+    return node
 
 
 def impose_topology(rel):
@@ -260,19 +265,19 @@ def impose_topology(rel):
     """
     if is_empty(rel):
         raise DegenerateError("empty relation carries no topology")
-    tree = decomposition_tree(rel)
     faces = set()
-
-    def collect(node):
-        if node.status == STATUS_REDUCIBLE:
-            for child in node.children:
-                collect(child)
-        elif node.status in (STATUS_PRIME, STATUS_IRREDUCIBLE):
-            faces.add(frozenset(node.relation.domain.points))
-
-    collect(tree)
+    _collect_faces(decomposition_tree(rel), faces)
     maximal = {f for f in faces if not any(f < g for g in faces)}
     return SimplicialComplex(rel.domain.points, frozenset(maximal))
+
+
+def _collect_faces(node, faces):
+    """Add the faces of the prime and irreducible nodes below reducible ones."""
+    if node.status == STATUS_REDUCIBLE:
+        for child in node.children:
+            _collect_faces(child, faces)
+    elif node.status in (STATUS_PRIME, STATUS_IRREDUCIBLE):
+        faces.add(frozenset(node.relation.domain.points))
 
 
 def count_consequences(rel):

@@ -102,6 +102,47 @@ def o_principal_factor(member_set, points, q):
     return member_set | (full - joint)
 
 
+def o_simulate(number, init, steps):
+    """Rows of rule `number` from `init`, cell by cell on a periodic row."""
+    width = len(init)
+    rows = [tuple(init)]
+    for _ in range(steps):
+        prev = rows[-1]
+        rows.append(tuple(
+            number >> (4 * prev[(x - 1) % width] + 2 * prev[x] + prev[(x + 1) % width]) & 1
+            for x in range(width)))
+    return tuple(rows)
+
+
+# Space-time offset (dx, dt) of each window point from (x, t).
+WINDOW_OFFSETS = {"p": (-1, 0), "q": (0, 0), "r": (1, 0), "s": (0, 1)}
+
+
+def o_check_trajectory(rule_relation, traj, consequences=()):
+    """(rule_violations, consequence_violations), testing one window at a time.
+
+    Each window's states are looked up in the member set of the rule and
+    of each consequence, in the order check_trajectory reports them.
+    """
+    rule_members = to_members(rule_relation)
+    cons_members = [(entry.face.points, to_members(entry.relation)) for entry in consequences]
+    rule_bad = []
+    cons_bad = []
+    width = traj.width
+    for t in range(traj.steps):
+        for x in range(width):
+            window = {
+                name: traj.rows[t + dt][(x + dx) % width]
+                for name, (dx, dt) in WINDOW_OFFSETS.items()
+            }
+            if tuple(window[name] for name in "pqrs") not in rule_members:
+                rule_bad.append((x, t))
+            for points, member_set in cons_members:
+                if tuple(window[name] for name in points) not in member_set:
+                    cons_bad.append((points, x, t))
+    return tuple(rule_bad), tuple(cons_bad)
+
+
 def random_domain(rng, max_k=4, letters="abcdef"):
     q = rng.choice((2, 3))
     k = rng.randint(1, max_k)

@@ -3,9 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcalc import (
+    RULE_POINTS,
+    ConsequenceEntry,
+    Domain,
     DomainError,
+    Relation,
+    Trajectory,
     QUOTED_1101_RULES,
     UnsupportedError,
     absorbing_consequences,
@@ -23,6 +30,8 @@ from relcalc import (
     simulate,
     wolfram_relation,
 )
+
+import oracle
 
 
 def rule(n):
@@ -204,3 +213,82 @@ def test_rule168_never_violates_absorbing_consequence():
     for seed in range(10):
         traj = simulate(168, random_row(21, seed=seed), 12)
         assert check_trajectory(168, traj, rs).ok
+
+
+def test_check_trajectory_rejects_bad_states():
+    traj = simulate(90, (0, 0, 0, 1, 0, 0, 0), 2)
+    rows = (traj.rows[0], (0, 0, 2, 0, 1, 0, 0), traj.rows[2])
+    with pytest.raises(DomainError):
+        check_trajectory(90, Trajectory(90, 7, 2, rows))
+
+
+def test_check_trajectory_rejects_wrong_row_count():
+    traj = simulate(90, (0, 0, 0, 1, 0, 0, 0), 2)
+    with pytest.raises(DomainError):
+        check_trajectory(90, Trajectory(90, 7, 3, traj.rows))
+    with pytest.raises(DomainError):
+        check_trajectory(90, Trajectory(90, 7, 1, traj.rows))
+
+
+def test_check_trajectory_rejects_wrong_row_length():
+    traj = simulate(90, (0, 0, 0, 1, 0, 0, 0), 2)
+    longer = (traj.rows[0], traj.rows[1] + (0,), traj.rows[2])
+    with pytest.raises(DomainError):
+        check_trajectory(90, Trajectory(90, 7, 2, longer))
+    shorter = (traj.rows[0], traj.rows[1], traj.rows[2][:-1])
+    with pytest.raises(DomainError):
+        check_trajectory(90, Trajectory(90, 7, 2, shorter))
+    with pytest.raises(DomainError):
+        check_trajectory(90, Trajectory(90, 0, 1, ((), ())))
+
+
+def test_check_trajectory_rejects_consequences_off_the_window():
+    traj = simulate(90, (0, 0, 0, 1, 0, 0, 0), 2)
+    off = Domain(("p", "z"), 2)
+    with pytest.raises(DomainError):
+        check_trajectory(90, traj, [ConsequenceEntry(off, Relation(off, 0b1101))])
+    face = Domain(("r", "s"), 2)
+    wrong_arity = Relation(Domain(("r",), 2), 0b01)
+    with pytest.raises(DomainError):
+        check_trajectory(90, traj, [ConsequenceEntry(face, wrong_arity)])
+
+
+@st.composite
+def evolutions(draw):
+    """A rule, a row of width <= 64, <= 12 steps and up to 4 (t, x) cells to flip."""
+    number = draw(st.integers(0, 255))
+    width = draw(st.integers(3, 64))
+    steps = draw(st.integers(0, 12))
+    bits = draw(st.integers(0, 2 ** width - 1))
+    init = tuple(bits >> x & 1 for x in range(width))
+    flips = draw(st.lists(st.tuples(st.integers(0, steps), st.integers(0, width - 1)),
+                          max_size=4))
+    return number, init, steps, flips
+
+
+@st.composite
+def window_consequences(draw):
+    """Codim-1 consequences of some rule plus one q=3 relation on a face of the window."""
+    entries = list(proper_consequences(rule(draw(st.integers(0, 255))), codim=1))
+    points = tuple(draw(st.permutations(RULE_POINTS))[:draw(st.integers(1, 4))])
+    face = Domain(points, 3)
+    entries.insert(draw(st.integers(0, len(entries))),
+                   ConsequenceEntry(face, Relation(face, draw(st.integers(0, 2 ** face.size - 1)))))
+    return tuple(entries)
+
+
+# 50 examples: each runs the per-window oracle on up to 64 x 13 cells,
+# and the suite's wall time is kept down.
+@settings(max_examples=50)
+@given(evolutions(), window_consequences())
+def test_simulate_and_check_match_oracle(case, consequences):
+    number, init, steps, flips = case
+    traj = simulate(number, init, steps)
+    assert traj.rows == oracle.o_simulate(number, init, steps)
+    rows = [list(row) for row in traj.rows]
+    for t, x in flips:
+        rows[t][x] ^= 1
+    traj = Trajectory(number, traj.width, steps, tuple(map(tuple, rows)))
+    report = check_trajectory(wolfram_relation(number), traj, consequences)
+    expected = oracle.o_check_trajectory(rule(number), traj, consequences)
+    assert (report.rule_violations, report.consequence_violations) == expected

@@ -1,6 +1,8 @@
 """Base relations, consequences, decomposition, induced topology."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -270,6 +272,22 @@ def test_decomposition_tree_shares_face_nodes():
     shared_b = [c for c in b.children if set(c.face) == {"q", "s"}]
     assert shared_a and shared_b
     assert shared_a[0] is shared_b[0]
+
+
+def test_decomposition_tree_leaves_no_cyclic_garbage():
+    # reference counting alone must free a dropped tree: nothing built
+    # for it may sit in a reference cycle waiting for the collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tree = decomposition_tree(life_relation())
+        child = weakref.ref(tree.children[0].relation)
+        assert child() is not None
+        del tree
+        assert child() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_impose_topology_frozen_rules():
