@@ -5,15 +5,18 @@ s the next state of the center, classifies every rule through the
 decomposition calculus, simulates 1-D evolutions on a periodic lattice,
 and checks the printed closed-form solutions.
 
-Simulation and trajectory checks work on whole rows.  A row is packed
-into an int, bit x = cell x, so the window points p, q and r of every x
-at once are two rotations of the row and the row itself, and s is the
-next row.  A rule's next row is the OR of its set minterms, each an AND
-of the three rows or their complements.  A check reads the forbidden
+Simulation and trajectory checks work on the packed space-time grid:
+one int with bit t*width + x = cell (x, t), so row t is the width-bit
+slice at t*width.  The window points p, q and r of every cell at once
+are the grid rotated by one cell within each row either way (shifts
+masked by the column-0 bits) and the grid itself, and s is the grid
+shifted down by one row.  simulate builds the grid a row at a time: a
+rule's next row is the OR of its set minterms, each an AND of the three
+rows or their complements.  check_trajectory reads the forbidden
 patterns off each relation's table (its non-member cells whose states
-are all 0/1) and ORs the AND of each pattern's window rows into that
-relation's violation mask.  A row costs O(width) big-int operations per
-minterm or forbidden pattern, not one membership test per window.
+are all 0/1) and ORs the AND of each pattern's window grids into that
+relation's violation mask over all rows at once, so a check costs
+O(patterns) big-int operations, not one membership test per window.
 """
 
 import functools
@@ -21,10 +24,10 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, UnsupportedError
-from .relation import Domain, Relation, decode_point, encode_point, project
+from .relation import MAX_TABLE_CELLS, Domain, Relation, decode_point, encode_point, project
 from .structure import (
     STATUS_IRREDUCIBLE,
     STATUS_PRIME,
@@ -60,12 +63,18 @@ class ElementaryRule:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Space-time grid of one simulation, rows indexed by time."""
+    """Space-time grid of one simulation, rows indexed by time.
+
+    _grid is the packed grid of rows, set only by simulate; a trajectory
+    built directly or through dataclasses.replace leaves it unset, and
+    check_trajectory packs its rows then.
+    """
 
     rule: int
     width: int
     steps: int
     rows: tuple[tuple[int, ...], ...]
+    _grid: int | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,11 @@ def classify_all_rules():
 
 
 def simulate(rule, init, steps):
-    """Evolve a periodic row; rows[t][x] is the state at (x, t)."""
+    """Evolve a periodic row; rows[t][x] is the state at (x, t).
+
+    A grid of more than MAX_TABLE_CELLS cells, width * (steps + 1), is
+    refused with DomainError before anything is built.
+    """
     if isinstance(rule, ElementaryRule):
         rule = rule.number
     f = rule_function(rule)
@@ -195,14 +208,23 @@ def simulate(rule, init, steps):
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     width = len(row)
+    if width * (steps + 1) > MAX_TABLE_CELLS:
+        raise DomainError(
+            f"trajectory would need {width} x {steps + 1} cells (limit {MAX_TABLE_CELLS})")
     mask = (1 << width) - 1
     minterms = [tuple(enumerate(m)) for m in itertools.product((0, 1), repeat=3) if f(*m)]
     bits = _pack(row)
-    rows = [row]
+    packed = [bits]
     for _ in range(steps):
-        bits = _matches(_literals(_neighbors(bits, width), mask), minterms)
-        rows.append(_unpack(bits, width))
-    return Trajectory(rule, width, steps, tuple(rows))
+        bits = _matches(_literals(_neighbors(bits, width, 1), mask), minterms, mask)
+        packed.append(bits)
+    # Row steps leads the binary string, so reversed it reads the cells in (t, x) order.
+    digits = "".join(format(bits, f"0{width}b") for bits in reversed(packed))
+    cells = digits[::-1].encode().translate(_CELLS)
+    rows = tuple(tuple(cells[i:i + width]) for i in range(0, len(cells), width))
+    traj = Trajectory(rule, width, steps, rows)
+    object.__setattr__(traj, "_grid", int(digits, 2))
+    return traj
 
 
 # Byte translations between a row's cells (one 0/1 byte each) and binary digits.
@@ -215,16 +237,29 @@ def _pack(row):
     return int(bytes(row)[::-1].translate(_DIGITS), 2)
 
 
-def _unpack(bits, width):
-    """Inverse of _pack for a row of the given width."""
-    return tuple(format(bits, f"0{width}b")[::-1].encode().translate(_CELLS))
+def _first_column(width, rows):
+    """Bit t*width for each t < rows: column 0 of rows packed side by side.
+
+    Built by doubling, linear in the grid size; dividing the full mask
+    by 2^width - 1 gives the same bits but takes quadratic time.
+    """
+    col, filled = 1, 1
+    while filled < rows:
+        col |= col << (filled * width)
+        filled *= 2
+    return col & ((1 << (width * rows)) - 1)
 
 
-def _neighbors(bits, width):
-    """Packed p, q, r rows of a periodic row: bit x holds cell x-1, x, x+1."""
-    left = (bits << 1 | bits >> (width - 1)) & ((1 << width) - 1)
-    right = bits >> 1 | (bits & 1) << (width - 1)
-    return left, bits, right
+def _neighbors(cur, width, col0):
+    """Packed p, q, r of rows packed side by side: bit x of a row holds cell x-1, x, x+1.
+
+    col0 has the bit of column 0 of each row set.  p may carry one stray
+    bit above the last row, which the masks of _matches drop.
+    """
+    last = col0 << (width - 1)
+    left = (cur << 1) & ~col0 | (cur >> (width - 1)) & col0
+    right = (cur >> 1) & ~last | (cur << (width - 1)) & last
+    return left, cur, right
 
 
 def _literals(rows, mask):
@@ -232,15 +267,22 @@ def _literals(rows, mask):
     return [(bits ^ mask, bits) for bits in rows]
 
 
-def _matches(lits, patterns):
-    """Cells whose window matches one of the (place, state) patterns, packed."""
+def _matches(lits, patterns, mask):
+    """Cells within mask whose window matches one of the (place, state) patterns, packed."""
     out = 0
     for pattern in patterns:
-        hit = -1
+        hit = mask
         for place, state in pattern:
             hit &= lits[place][state]
         out |= hit
     return out
+
+
+def format_rows(traj):
+    """The rows of a trajectory as lines of 0/1 characters, each ending in a newline."""
+    width = traj.width
+    digits = format(_grid_of(traj), f"0{width * (traj.steps + 1)}b")[::-1]
+    return "".join(digits[i:i + width] + "\n" for i in range(0, len(digits), width))
 
 
 def random_row(width, seed=None):
@@ -299,44 +341,57 @@ def check_trajectory(rule, traj, consequences=None):
     membership in the rule's relation, and each supplied consequence on
     the matching subset of the window.  Reports (x, t) pairs that fail,
     by time then position, and each failing consequence after the
-    previous ones at the same window.  A trajectory whose row count,
-    row lengths or states do not fit it raises DomainError.
+    previous ones at the same window.  A trajectory whose step count,
+    row count, row lengths or states do not fit it raises DomainError.
     """
     if isinstance(rule, int):
         rule = wolfram_relation(rule)
     rule_patterns = _forbidden_patterns(rule.relation, RULE_POINTS)
     entries = tuple(consequences or ())
     cons_patterns = [_forbidden_patterns(e.relation, e.face.points) for e in entries]
-    packed = _pack_trajectory(traj)
+    grid = _grid_of(traj)
     width = traj.width
-    mask = (1 << width) - 1
-    rule_bad = []
+    windows = width * traj.steps
+    full = (1 << windows) - 1
+    cur = grid & full
+    lits = _literals(_neighbors(cur, width, _first_column(width, traj.steps))
+                     + (grid >> width,), full)
+    rule_bad = [(i % width, i // width) for i in _cells(_matches(lits, rule_patterns, full))]
+    cons_masks = [_matches(lits, patterns, full) for patterns in cons_patterns]
+    cons_digits = [format(bad, f"0{windows}b")[::-1] for bad in cons_masks]
     cons_bad = []
-    for t in range(traj.steps):
-        lits = _literals(_neighbors(packed[t], width) + (packed[t + 1],), mask)
-        rule_bad.extend((x, t) for x in _cells(_matches(lits, rule_patterns)))
-        cons_masks = [_matches(lits, patterns) for patterns in cons_patterns]
-        for x in _cells(functools.reduce(operator.or_, cons_masks, 0)):
-            cons_bad.extend((entry.face.points, x, t)
-                            for entry, bad in zip(entries, cons_masks) if bad >> x & 1)
+    for i in _cells(functools.reduce(operator.or_, cons_masks, 0)):
+        t, x = divmod(i, width)
+        cons_bad.extend((entry.face.points, x, t)
+                        for entry, digits in zip(entries, cons_digits) if digits[i] == "1")
     return TrajectoryReport(tuple(rule_bad), tuple(cons_bad))
 
 
+def _grid_of(traj):
+    """The packed grid of a trajectory: simulate's own, or its rows packed and checked."""
+    return _pack_trajectory(traj) if traj._grid is None else traj._grid
+
+
 def _pack_trajectory(traj):
-    """Packed rows of a trajectory, after checking its shape and states."""
+    """The rows of a trajectory packed into one grid, after checking shape and states."""
+    if traj.steps < 0:
+        raise DomainError(f"trajectory has {traj.steps} steps, steps must be nonnegative")
     if len(traj.rows) != traj.steps + 1:
         raise DomainError(
             f"trajectory has {len(traj.rows)} rows, {traj.steps} steps need {traj.steps + 1}")
     if traj.width < 1:
         raise DomainError(f"trajectory width {traj.width} is not positive")
-    packed = []
-    for t, row in enumerate(traj.rows):
-        if len(row) != traj.width:
-            raise DomainError(f"row {t} has {len(row)} cells, width is {traj.width}")
-        if set(row) - {0, 1}:
-            raise DomainError(f"row {t} holds a state other than 0/1")
-        packed.append(_pack(row))
-    return packed
+    if set(map(len, traj.rows)) != {traj.width}:
+        t, row = next((t, row) for t, row in enumerate(traj.rows) if len(row) != traj.width)
+        raise DomainError(f"row {t} has {len(row)} cells, width is {traj.width}")
+    bad_state = "trajectory holds a state other than 0/1"
+    try:
+        cells = b"".join(map(bytes, traj.rows))
+    except (TypeError, ValueError):  # a state that is not an int in range(256)
+        raise DomainError(bad_state) from None
+    if cells.translate(None, b"\0\1"):
+        raise DomainError(bad_state)
+    return int(cells[::-1].translate(_DIGITS), 2)
 
 
 def _forbidden_patterns(rel, points):
@@ -357,8 +412,9 @@ def _forbidden_patterns(rel, points):
 
 
 def _cells(bits):
-    """Positions of the set bits, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+    """Positions of the set bits, ascending, found in one binary string."""
+    digits = bin(bits)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)

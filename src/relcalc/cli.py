@@ -77,7 +77,7 @@ def cmd_rule(args, out):
         poly = gfpoly.relation_to_polynomial(dec.principal_factor)
         out.write(f"principal factor polynomial {gfpoly.polynomial_to_string(poly)}\n")
     if args.topology:
-        complex_ = impose_topology(rel)
+        complex_ = impose_topology(rel, _root=dec)
         simplices = " | ".join(",".join(s) for s in complex_.sorted_simplices())
         out.write(f"topology {simplices}\n")
     return 0
@@ -154,7 +154,7 @@ def cmd_life(args, out):
         out.write(f"polynomial {gfpoly.grouped_string(poly, sym)}\n")
 
     if args.decompose:
-        tree = decomposition_tree(rel)
+        tree = decomposition_tree(rel, _root=dec)
         nodes = list(tree.walk())
         leaves = [n for n in nodes if not n.children]
         prime_leaves = [n for n in leaves if n.status == STATUS_PRIME]
@@ -222,9 +222,7 @@ def cmd_simulate(args, out):
         raise RelcalcError(
             f"initial row has {len(init)} cells, width is {args.width}")
     traj = automata.simulate(args.number, init, args.steps)
-    digits = bytes.maketrans(b"\0\1", b"01")
-    for row in traj.rows:
-        out.write(bytes(row).translate(digits).decode() + "\n")
+    out.write(automata.format_rows(traj))
     if args.check:
         rule = automata.wolfram_relation(args.number)
         consequences = structure.proper_consequences(rule.relation, codim=1)

@@ -224,17 +224,23 @@ def is_prime(rel):
     return canonical_decomposition(rel).status == STATUS_PRIME
 
 
-def decomposition_tree(rel):
+def decomposition_tree(rel, _root=None):
     """Recursive canonical decomposition with one node per face.
 
     Projections are path independent, so each face's node is built once
-    and shared; the children tuples therefore form a DAG.
+    and shared; the children tuples therefore form a DAG.  _root, rel's
+    canonical decomposition when the caller already has it, spares the
+    root's codimension-1 pass.
     """
-    return _tree_node(rel, {})
+    if _root is not None and _root.source != rel:
+        raise ContractError("_root is not the canonical decomposition of rel")
+    return _tree_node(rel, {}, _root)
 
 
-def _tree_node(r, memo):
+def _tree_node(r, memo, dec=None):
     """The node of r, built once per face and kept in memo by its point set.
+
+    dec, when given, is r's canonical decomposition.
 
     A module-level function rather than a closure: a recursive closure
     holds itself through its own cell, a cycle that would keep memo and
@@ -248,7 +254,8 @@ def _tree_node(r, memo):
     elif is_trivial(r):
         node = DecompositionTree(r, STATUS_TRIVIAL, (), r)
     else:
-        dec = canonical_decomposition(r)
+        if dec is None:
+            dec = canonical_decomposition(r)
         children = tuple(_tree_node(e.relation, memo) for e in dec.consequences)
         factor = None if dec.status == STATUS_PRIME else dec.principal_factor
         node = DecompositionTree(r, dec.status, children, factor)
@@ -256,17 +263,18 @@ def _tree_node(r, memo):
     return node
 
 
-def impose_topology(rel):
+def impose_topology(rel, _root=None):
     """Simplicial complex whose maximal simplices carry rel's irreducible parts.
 
     Reducible nodes dissolve into their consequences; prime and
     irreducible nodes contribute their own face.  A trivial relation
-    constrains nothing, so only isolated vertices remain.
+    constrains nothing, so only isolated vertices remain.  _root is
+    passed on to decomposition_tree.
     """
     if is_empty(rel):
         raise DegenerateError("empty relation carries no topology")
     faces = set()
-    _collect_faces(decomposition_tree(rel), faces)
+    _collect_faces(decomposition_tree(rel, _root), faces)
     maximal = {f for f in faces if not any(f < g for g in faces)}
     return SimplicialComplex(rel.domain.points, frozenset(maximal))
 

@@ -1,5 +1,6 @@
 """Elementary rules, Life, simulation, closed forms, trajectory checks."""
 
+import dataclasses
 import random
 
 import pytest
@@ -215,11 +216,21 @@ def test_rule168_never_violates_absorbing_consequence():
         assert check_trajectory(168, traj, rs).ok
 
 
-def test_check_trajectory_rejects_bad_states():
+@pytest.mark.parametrize("state", [2, -1, 256, 0.5, "1", None])
+def test_check_trajectory_rejects_bad_states(state):
     traj = simulate(90, (0, 0, 0, 1, 0, 0, 0), 2)
-    rows = (traj.rows[0], (0, 0, 2, 0, 1, 0, 0), traj.rows[2])
+    rows = (traj.rows[0], (0, 0, state, 0, 1, 0, 0), traj.rows[2])
     with pytest.raises(DomainError):
         check_trajectory(90, Trajectory(90, 7, 2, rows))
+
+
+def test_check_trajectory_accepts_bool_states():
+    traj = simulate(90, (0, 0, 0, 1, 0, 0, 0), 2)
+    rows = (traj.rows[0], (0, 0, 0, 0, 1, 0, 0), traj.rows[2])
+    as_bools = tuple(tuple(bool(v) for v in row) for row in rows)
+    report = check_trajectory(90, Trajectory(90, 7, 2, as_bools))
+    assert report.rule_violations == ((2, 0), (1, 1), (3, 1))
+    assert report == check_trajectory(90, Trajectory(90, 7, 2, rows))
 
 
 def test_check_trajectory_rejects_wrong_row_count():
@@ -228,6 +239,8 @@ def test_check_trajectory_rejects_wrong_row_count():
         check_trajectory(90, Trajectory(90, 7, 3, traj.rows))
     with pytest.raises(DomainError):
         check_trajectory(90, Trajectory(90, 7, 1, traj.rows))
+    with pytest.raises(DomainError):
+        check_trajectory(90, Trajectory(90, 7, -1, ()))
 
 
 def test_check_trajectory_rejects_wrong_row_length():
@@ -277,18 +290,40 @@ def window_consequences(draw):
     return tuple(entries)
 
 
+@st.composite
+def built_trajectories(draw):
+    """Rows of width 1 to 4 and 0 to 3 steps, any cells: the rotations wrap within a row."""
+    width = draw(st.integers(1, 4))
+    steps = draw(st.integers(0, 3))
+    cells = draw(st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width),
+                          min_size=steps + 1, max_size=steps + 1))
+    return Trajectory(draw(st.integers(0, 255)), width, steps, tuple(map(tuple, cells)))
+
+
 # 50 examples: each runs the per-window oracle on up to 64 x 13 cells,
 # and the suite's wall time is kept down.
 @settings(max_examples=50)
-@given(evolutions(), window_consequences())
-def test_simulate_and_check_match_oracle(case, consequences):
+@given(evolutions(), window_consequences(), built_trajectories())
+def test_simulate_and_check_match_oracle(case, consequences, built):
     number, init, steps, flips = case
     traj = simulate(number, init, steps)
     assert traj.rows == oracle.o_simulate(number, init, steps)
+    # simulate's own grid, the same rows built directly, and corrupted rows
+    # put in by dataclasses.replace, which must not reuse that grid
+    rebuilt = Trajectory(traj.rule, traj.width, traj.steps, traj.rows)
+    assert rebuilt == traj
     rows = [list(row) for row in traj.rows]
     for t, x in flips:
         rows[t][x] ^= 1
-    traj = Trajectory(number, traj.width, steps, tuple(map(tuple, rows)))
-    report = check_trajectory(wolfram_relation(number), traj, consequences)
-    expected = oracle.o_check_trajectory(rule(number), traj, consequences)
-    assert (report.rule_violations, report.consequence_violations) == expected
+    corrupted = dataclasses.replace(traj, rows=tuple(map(tuple, rows)))
+
+    def checked(t):
+        report = check_trajectory(wolfram_relation(t.rule), t, consequences)
+        return report.rule_violations, report.consequence_violations
+
+    def expected(t):
+        return oracle.o_check_trajectory(rule(t.rule), t, consequences)
+
+    assert checked(traj) == checked(rebuilt) == expected(traj)
+    assert checked(corrupted) == expected(corrupted)
+    assert checked(built) == expected(built)

@@ -57,10 +57,14 @@ def test_one_codim1_pass_per_relation(capsys, monkeypatch):
         return real(rel, codim)
 
     monkeypatch.setattr(structure, "_consequences", counting)
-    for argv in (["rule", "30"], ["life"]):
+    # the tree commands take the root's decomposition from the command
+    cases = ((["rule", "30"], 1), (["life"], 1),
+             (["life", "--decompose"], 326), (["rule", "90", "--topology"], 2))
+    for argv, passes in cases:
         calls.clear()
         assert run(capsys, *argv)[0] == 0
-        assert len(calls) == 1, argv
+        assert len(calls) == passes, argv
+        assert len(set(calls)) == passes, argv
     calls.clear()
     classify_all_rules()
     assert len(calls) == 256
@@ -206,6 +210,17 @@ def test_base_over_table_limit_fails_fast(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: table would need 2^25 cells")
+    assert elapsed < 1.0
+
+
+def test_simulate_over_cell_limit_fails_fast(capsys):
+    # 100000 x 100001 cells, far past the limit; refused before any row is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "90", "--width", "100000", "--steps", "100000")
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: trajectory would need 100000 x 100001 cells")
     assert elapsed < 1.0
 
 

@@ -301,6 +301,14 @@ def test_impose_topology_frozen_rules():
     assert topo(204) == {frozenset(("q", "s"))}
 
 
+def test_tree_from_given_root_decomposition():
+    dec = canonical_decomposition(rule(30))
+    assert decomposition_tree(rule(30), _root=dec) == decomposition_tree(rule(30))
+    assert impose_topology(rule(30), _root=dec) == impose_topology(rule(30))
+    with pytest.raises(ContractError):
+        decomposition_tree(rule(90), _root=dec)
+
+
 def test_impose_topology_lattice_splitting_rule_groups():
     three_point = {5, 10, 80, 90, 95, 160, 165, 175, 245, 250}
     for n in three_point:
