@@ -61,6 +61,7 @@ from .relation import (
     contains,
     cylinder,
     decode_point,
+    digit_planes,
     empty_relation,
     encode_point,
     extend,

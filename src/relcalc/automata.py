@@ -5,18 +5,15 @@ s the next state of the center, classifies every rule through the
 decomposition calculus, simulates 1-D evolutions on a periodic lattice,
 and checks the printed closed-form solutions.
 
-Simulation and trajectory checks work on the packed space-time grid:
-one int with bit t*width + x = cell (x, t), so row t is the width-bit
-slice at t*width.  The window points p, q and r of every cell at once
-are the grid rotated by one cell within each row either way (shifts
-masked by the column-0 bits) and the grid itself, and s is the grid
-shifted down by one row.  simulate builds the grid a row at a time: a
-rule's next row is the OR of its set minterms, each an AND of the three
-rows or their complements.  check_trajectory reads the forbidden
-patterns off each relation's table (its non-member cells whose states
-are all 0/1) and ORs the AND of each pattern's window grids into that
-relation's violation mask over all rows at once, so a check costs
-O(patterns) big-int operations, not one membership test per window.
+A rule is read only from its relation table, through one evaluator:
+_matches ORs the AND of each (place, state) pattern over lits[place][state],
+the cells where a place has a state.  An elementary rule's table is the OR
+of its 8 transitions over the table's digit planes, and Life's is a
+bit-sliced neighbor count over them.  On the packed space-time grid (bit
+t*width + x = cell (x, t); p and r the grid rotated within each row, s the
+grid one row down) the patterns are a relation's forbidden ones, its
+non-member cells with all states 0/1: simulate ORs the rule's with s = 0,
+less s, row by row; check_trajectory ORs each relation's over all rows at once.
 """
 
 import functools
@@ -27,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DomainError, UnsupportedError
-from .relation import MAX_TABLE_CELLS, Domain, Relation, decode_point, encode_point, project
+from .relation import MAX_TABLE_CELLS, Domain, Relation, complement, digit_planes, members, project
 from .structure import (
     STATUS_IRREDUCIBLE,
     STATUS_PRIME,
@@ -129,15 +126,12 @@ def rule_function(n):
 
 
 def wolfram_relation(n):
-    """Relation of rule n on points (p, q, r, s) with q = 2."""
+    """Relation of rule n on points (p, q, r, s) with q = 2: the OR of its 8 transitions."""
     f = rule_function(n)
+    transitions = [tuple(enumerate(m + (f(*m),))) for m in itertools.product((0, 1), repeat=3)]
     domain = Domain(RULE_POINTS, 2)
-    value = 0
-    for i in range(16):
-        p, q, r, s = decode_point(i, 4, 2)
-        if f(p, q, r) == s:
-            value |= 1 << i
-    return ElementaryRule(n, Relation(domain, value))
+    bits = _matches(digit_planes(domain), transitions, (1 << domain.size) - 1)
+    return ElementaryRule(n, Relation(domain, bits))
 
 
 def life_relation():
@@ -145,22 +139,18 @@ def life_relation():
 
     x9 is the next state of the center x8: it is 1 when exactly three of
     x0..x7 are alive, keeps x8 when exactly two are, and is 0 otherwise.
+    The neighbors are counted bit-sliced over the table's digit planes:
+    exactly[c] holds the cells where c of the neighbors seen so far are alive.
     """
     domain = Domain(LIFE_POINTS, 2)
-    value = 0
-    for i in range(domain.size):
-        t = decode_point(i, 10, 2)
-        alive = sum(t[0:8])
-        x8, x9 = t[8], t[9]
-        if alive == 3:
-            ok = x9 == 1
-        elif alive == 2:
-            ok = x9 == x8
-        else:
-            ok = x9 == 0
-        if ok:
-            value |= 1 << i
-    return Relation(domain, value)
+    planes = digit_planes(domain)
+    full = (1 << domain.size) - 1
+    exactly = [full]
+    for dead, alive in planes[:8]:
+        exactly = [a & dead | b & alive for a, b in zip(exactly + [0], [0] + exactly)]
+    (_, x8), (_, x9) = planes[8:]
+    lives = exactly[3] | exactly[2] & x8
+    return Relation(domain, full ^ lives ^ x9)  # the cells where x9 is the next state
 
 
 def absorbing_consequences(rel):
@@ -194,12 +184,12 @@ def classify_all_rules():
 def simulate(rule, init, steps):
     """Evolve a periodic row; rows[t][x] is the state at (x, t).
 
-    A grid of more than MAX_TABLE_CELLS cells, width * (steps + 1), is
-    refused with DomainError before anything is built.
+    rule is a rule number or an ElementaryRule; the next state is 1 where
+    its relation forbids s = 0.  A grid of more than MAX_TABLE_CELLS cells,
+    width * (steps + 1), is refused with DomainError before anything is built.
     """
-    if isinstance(rule, ElementaryRule):
-        rule = rule.number
-    f = rule_function(rule)
+    if isinstance(rule, int):
+        rule = wolfram_relation(rule)
     row = tuple(int(v) for v in init)
     if len(row) < 3:
         raise DomainError(f"width {len(row)} is below the 3-cell neighborhood")
@@ -212,7 +202,8 @@ def simulate(rule, init, steps):
         raise DomainError(
             f"trajectory would need {width} x {steps + 1} cells (limit {MAX_TABLE_CELLS})")
     mask = (1 << width) - 1
-    minterms = [tuple(enumerate(m)) for m in itertools.product((0, 1), repeat=3) if f(*m)]
+    minterms = [pattern[:3] for pattern in _forbidden_patterns(rule.relation, RULE_POINTS)
+                if pattern[3] == (3, 0)]
     bits = _pack(row)
     packed = [bits]
     for _ in range(steps):
@@ -222,7 +213,7 @@ def simulate(rule, init, steps):
     digits = "".join(format(bits, f"0{width}b") for bits in reversed(packed))
     cells = digits[::-1].encode().translate(_CELLS)
     rows = tuple(tuple(cells[i:i + width]) for i in range(0, len(cells), width))
-    traj = Trajectory(rule, width, steps, rows)
+    traj = Trajectory(rule.number, width, steps, rows)
     object.__setattr__(traj, "_grid", int(digits, 2))
     return traj
 
@@ -268,7 +259,7 @@ def _literals(rows, mask):
 
 
 def _matches(lits, patterns, mask):
-    """Cells within mask whose window matches one of the (place, state) patterns, packed."""
+    """Cells within mask that match one of the (place, state) patterns, packed."""
     out = 0
     for pattern in patterns:
         hit = mask
@@ -406,9 +397,7 @@ def _forbidden_patterns(rel, points):
     if set(points) - set(RULE_POINTS):
         raise DomainError(f"face {points} is not on the window points {RULE_POINTS}")
     places = [RULE_POINTS.index(p) for p in points]
-    return [tuple(zip(places, states))
-            for states in itertools.product((0, 1), repeat=len(points))
-            if not rel.bits >> encode_point(states, rel.domain.q) & 1]
+    return [tuple(zip(places, states)) for states in members(complement(rel)) if max(states) < 2]
 
 
 def _cells(bits):

@@ -2,7 +2,8 @@
 
 Subcommands: rule, classify-all, life, base, project, simulate, topology.
 Exit codes: 0 on success, 1 when an analysis reports incompatibility or a
-failed expectation, 2 for usage and input format errors.
+failed expectation, 2 for usage and input format errors.  --format records
+refuses a command or flag whose report has no relation-record form.
 """
 
 import argparse
@@ -10,7 +11,7 @@ import functools
 import sys
 
 from . import automata, gfpoly, relfile, structure
-from .errors import RelcalcError
+from .errors import RelcalcError, UnsupportedError
 from .relation import cardinality, extend, is_empty, project
 from .structure import (
     STATUS_PRIME,
@@ -221,10 +222,10 @@ def cmd_simulate(args, out):
     if len(init) != args.width:
         raise RelcalcError(
             f"initial row has {len(init)} cells, width is {args.width}")
-    traj = automata.simulate(args.number, init, args.steps)
+    rule = automata.wolfram_relation(args.number)
+    traj = automata.simulate(rule, init, args.steps)
     out.write(automata.format_rows(traj))
     if args.check:
-        rule = automata.wolfram_relation(args.number)
         consequences = structure.proper_consequences(rule.relation, codim=1)
         report = automata.check_trajectory(rule, traj, consequences)
         total = len(report.rule_violations) + len(report.consequence_violations)
@@ -244,6 +245,22 @@ def cmd_topology(args, out):
     for simplex in simplices:
         out.write("  " + ",".join(simplex) + "\n")
     return 0
+
+
+# Reports, or sections of one, that have no relation-record form.
+_TEXT_ONLY_COMMANDS = ("simulate", "topology")
+_TEXT_ONLY_FLAGS = {"rule": ("poly", "topology"), "life": ("poly", "decompose"),
+                   "classify-all": ("consequence_1101",)}
+
+
+def _refuse_text_only(args):
+    """Raise UnsupportedError naming the command or flag records mode cannot print."""
+    if args.command in _TEXT_ONLY_COMMANDS:
+        raise UnsupportedError(f"{args.command} has no --format records output")
+    for flag in _TEXT_ONLY_FLAGS.get(args.command, ()):
+        if getattr(args, flag):
+            raise UnsupportedError(
+                f"--{flag.replace('_', '-')} has no --format records output")
 
 
 @functools.cache
@@ -296,16 +313,18 @@ def build_parser():
     p_sim.add_argument("number", type=int)
     p_sim.add_argument("--width", type=int, default=31)
     p_sim.add_argument("--steps", type=int, default=15)
-    p_sim.add_argument("--init", default=None, help="initial row of 0/1 characters")
-    p_sim.add_argument("--random", action="store_true",
-                       help="random initial row (honors --seed)")
+    p_init = p_sim.add_mutually_exclusive_group()
+    p_init.add_argument("--init", default=None, help="initial row of 0/1 characters")
+    p_init.add_argument("--random", action="store_true",
+                        help="random initial row (honors --seed)")
     p_sim.add_argument("--check", action="store_true",
                        help="verify every window against the rule and its consequences")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_topo = sub.add_parser("topology", help="maximal simplices of a relation")
-    p_topo.add_argument("file", nargs="?")
-    p_topo.add_argument("--rule", type=int, default=None)
+    p_source = p_topo.add_mutually_exclusive_group(required=True)
+    p_source.add_argument("file", nargs="?")
+    p_source.add_argument("--rule", type=int, default=None)
     p_topo.set_defaults(func=cmd_topology)
 
     return parser
@@ -314,14 +333,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "topology" and args.file is None and args.rule is None:
-        parser.error("topology needs a relation file or --rule N")
     try:
+        if args.format == "records":
+            _refuse_text_only(args)
         return args.func(args, sys.stdout)
-    except RelcalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RelcalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -263,6 +263,15 @@ def _zero_mask(q, k, lo, hi):
     return mask
 
 
+def digit_planes(domain):
+    """planes[j][v]: the cells of domain's table where point j has state v.
+
+    Each is the cached slice of cells whose digit j is 0, shifted by v*q^j.
+    """
+    q, k = domain.q, domain.k
+    return [tuple(_zero_mask(q, k, j, j + 1) << v * q ** j for v in range(q)) for j in range(k)]
+
+
 def _spread(bits, step, q):
     """bits with copies shifted up by step, 2*step, ..., (q-1)*step."""
     out = bits

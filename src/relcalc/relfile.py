@@ -17,6 +17,9 @@ fields read back as plain relations.  Blank lines separate records.
 from .errors import FormatError
 from .relation import Domain, make_relation, relation_from_hex
 
+# Tables with more cells than this are written as bits_hex.
+_HEX_THRESHOLD = 64
+
 
 def _record_blocks(text):
     block, start = [], None
@@ -93,30 +96,34 @@ def parse_relation(text):
     return records[0]
 
 
+def _read(path, parse):
+    """parse applied to the text of a file; a FormatError names the path."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return parse(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def read_relation(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return parse_relation(handle.read())
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+    return _read(path, parse_relation)
 
 
 def read_relations(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return parse_relations(handle.read())
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+    return _read(path, parse_relations)
 
 
-def format_relation(rel, extra=None, hex_threshold=64):
-    """One record; tables with more than hex_threshold cells use bits_hex."""
+def format_relation(rel, extra=None):
+    """One record; tables with more than _HEX_THRESHOLD cells use bits_hex."""
     lines = []
     for key, value in (extra or {}).items():
         lines.append(f"{key} {value}")
     lines.append(f"q {rel.domain.q}")
     lines.append("points " + " ".join(rel.domain.points))
-    if rel.size > hex_threshold:
+    if rel.size > _HEX_THRESHOLD:
         lines.append(f"bits_hex {rel.hex_string()}")
     else:
         lines.append(f"bits {rel.bit_string()}")

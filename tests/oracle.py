@@ -2,8 +2,9 @@
 
 Relations are plain sets of state tuples here, with points tracked as a
 separate name tuple.  Nothing in this module uses the package's bit
-tables except the boundary converter `member_list`, which reads them one
-cell at a time without calling the package.
+tables except the boundary converters `member_list` and `cells`, which
+read them one cell at a time without calling the package, and the table
+builders `o_rule_table` and `o_life_table`, which fill one cell at a time.
 """
 
 import itertools
@@ -40,6 +41,43 @@ def member_list(rel):
 
 def to_members(rel):
     return set(member_list(rel))
+
+
+def cells(bits):
+    """Ordinals of the set bits of a table."""
+    return {i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"}
+
+
+def o_digit_planes(q, k):
+    """planes[j][v]: the ordinals of the q^k cells whose digit j is v."""
+    planes = [[set() for _ in range(q)] for _ in range(k)]
+    for i in range(q ** k):
+        ordinal = i
+        for j in range(k):
+            ordinal, s = divmod(ordinal, q)
+            planes[j][s].add(i)
+    return planes
+
+
+def o_rule_table(n):
+    """Bit table of rule n on (p, q, r, s), filled one ordinal p + 2q + 4r + 8s at a time."""
+    bits = 0
+    for i in range(16):
+        p, q, r, s = (i >> j & 1 for j in range(4))
+        if n >> (4 * p + 2 * q + r) & 1 == s:
+            bits |= 1 << i
+    return bits
+
+
+def o_life_table():
+    """Bit table of Life on x0..x9, filled one ordinal at a time; x9 is x8's next state."""
+    bits = 0
+    for i in range(2 ** 10):
+        x = [i >> j & 1 for j in range(10)]
+        alive = sum(x[:8])
+        if x[9] == (1 if alive == 3 else x[8] if alive == 2 else 0):
+            bits |= 1 << i
+    return bits
 
 
 def o_project(member_set, src_points, dst_points):

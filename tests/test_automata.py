@@ -128,10 +128,21 @@ def test_simulate_basics():
     assert traj.width == 4 and traj.steps == 2
 
 
+def test_rule_and_life_tables_match_oracle():
+    for n in range(256):
+        assert rule(n).bits == oracle.o_rule_table(n)
+    assert life_relation().bits == oracle.o_life_table()
+
+
 def test_simulate_accepts_rule_objects_and_strings_of_bits():
     a = simulate(wolfram_relation(90), (0, 1, 0), 2)
     b = simulate(90, "010", 2)
     assert a.rows == b.rows
+    init = random_row(23, seed=5)
+    for n in range(256):
+        from_relation = simulate(wolfram_relation(n), init, 9)
+        assert from_relation.rule == n
+        assert from_relation.rows == simulate(n, init, 9).rows == oracle.o_simulate(n, init, 9)
 
 
 def test_simulate_guards():

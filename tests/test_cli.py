@@ -313,3 +313,38 @@ def test_records_format_classify_all(capsys):
     records = parse_relations(out)
     assert len(records) == 256
     assert records[110] == wolfram_relation(110).relation
+
+
+@pytest.mark.parametrize("argv", [["base"], ["topology"], ["project", "--onto", "a"]])
+def test_non_utf8_relation_file_exits_2(capsys, tmp_path, argv):
+    f = tmp_path / "latin1.rel"
+    f.write_bytes(b"# r\xe9gle\nq 2\npoints a\nbits 01\n")
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {f}: byte 3 is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("argv", [["topology", "r90.rel", "--rule", "90"],
+                                  ["simulate", "90", "--init", "010", "--random"]])
+def test_exclusive_inputs_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "90"], "simulate"),
+    (["topology", "--rule", "90"], "topology"),
+    (["rule", "30", "--poly"], "--poly"),
+    (["rule", "30", "--topology"], "--topology"),
+    (["life", "--poly"], "--poly"),
+    (["life", "--decompose"], "--decompose"),
+    (["classify-all", "--consequence-1101"], "--consequence-1101"),
+])
+def test_records_refuses_text_only_reports(capsys, argv, name):
+    code, out, err = run(capsys, "--format", "records", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} has no --format records output\n"

@@ -1,10 +1,11 @@
 """Differential tests of the bit-parallel kernel against the set oracle.
 
 Every kernel entry point (extend, project, cylinder, permute_points,
-members, the codimension-1 analysis and the decomposition tree) is
-compared with tests/oracle.py for q in {2, 3, 5} and up to six points.  Point names and faces come in
-arbitrary order, so the axis-reordering path is reached as well.  The
-algebraic laws are checked on the same inputs.
+members, digit_planes, the codimension-1 analysis and the decomposition
+tree) is compared with tests/oracle.py for q in {2, 3, 5} and up to six
+points.  Point names and faces come in arbitrary order, so the
+axis-reordering path is reached as well.  The algebraic laws are checked
+on the same inputs.
 """
 
 from hypothesis import assume, given
@@ -16,6 +17,7 @@ from relcalc import (
     canonical_decomposition,
     cylinder,
     decomposition_tree,
+    digit_planes,
     extend,
     intersect,
     is_empty,
@@ -103,6 +105,13 @@ def test_permute_points_matches_oracle(domain, data):
     assert oracle.to_members(moved) == oracle.o_project(
         oracle.to_members(rel), domain.points, order)
     assert permute_points(moved, domain.points) == rel
+
+
+@given(st.sampled_from([(q, k) for q in (2, 3, 5) for k in range(1, 7)]))
+def test_digit_planes_match_oracle(shape):
+    q, k = shape
+    planes = digit_planes(Domain(LETTERS[:k], q))
+    assert [[oracle.cells(mask) for mask in plane] for plane in planes] == oracle.o_digit_planes(q, k)
 
 
 @given(domains(), st.data())

@@ -116,3 +116,8 @@ def test_read_errors_name_the_file(tmp_path):
     path.write_text("q 2\npoints a\nbits 1\n")
     with pytest.raises(FormatError, match="bad.rel"):
         read_relation(path)
+    latin1 = tmp_path / "latin1.rel"
+    latin1.write_bytes(b"# r\xe9gle\nq 2\npoints a\nbits 01\n")
+    for read in (read_relation, read_relations):
+        with pytest.raises(FormatError, match="latin1.rel: byte 3 is not UTF-8"):
+            read(latin1)
