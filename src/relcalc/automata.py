@@ -21,10 +21,18 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 
 from .errors import DomainError, UnsupportedError
-from .relation import MAX_TABLE_CELLS, Domain, Relation, complement, digit_planes, members, project
+from .relation import (
+    MAX_TABLE_CELLS,
+    Domain,
+    Relation,
+    Value,
+    complement,
+    digit_planes,
+    members,
+    project,
+)
 from .structure import (
     STATUS_IRREDUCIBLE,
     STATUS_PRIME,
@@ -50,32 +58,37 @@ QUOTED_1101_RULES = frozenset(
     + list(range(241, 255)))
 
 
-@dataclass(frozen=True)
-class ElementaryRule:
+class ElementaryRule(Value):
     """A rule number together with its relation on (p, q, r, s)."""
 
-    number: int
-    relation: Relation
+    _fields = ("number", "relation")
+
+    def __init__(self, number: int, relation: Relation):
+        self._set("number", number)
+        self._set("relation", relation)
+        self._set("_key", (number, relation))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Value):
     """Space-time grid of one simulation, rows indexed by time.
 
     _grid is the packed grid of rows, set only by simulate; a trajectory
-    built directly or through dataclasses.replace leaves it unset, and
-    check_trajectory packs its rows then.
+    built through the constructor leaves it None, and check_trajectory
+    packs its rows then.
     """
 
-    rule: int
-    width: int
-    steps: int
-    rows: tuple[tuple[int, ...], ...]
-    _grid: int | None = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("rule", "width", "steps", "rows")
+
+    def __init__(self, rule: int, width: int, steps: int, rows: tuple[tuple[int, ...], ...]):
+        self._set("rule", rule)
+        self._set("width", width)
+        self._set("steps", steps)
+        self._set("rows", rows)
+        self._set("_key", (rule, width, steps, rows))
+        self._set("_grid", None)
 
 
-@dataclass(frozen=True)
-class ClassificationSummary:
+class ClassificationSummary(Value):
     """Per-rule statuses plus the rules carrying the 1101 face consequence.
 
     Statuses are mutually exclusive ('reducible', 'irreducible', 'prime');
@@ -83,8 +96,13 @@ class ClassificationSummary:
     prime relation is in particular irreducible.
     """
 
-    statuses: tuple[str, ...]
-    consequences_1101: tuple[tuple[int, tuple[tuple[str, str], ...]], ...]
+    _fields = ("statuses", "consequences_1101")
+
+    def __init__(self, statuses: tuple[str, ...],
+                 consequences_1101: tuple[tuple[int, tuple[tuple[str, str], ...]], ...]):
+        self._set("statuses", statuses)
+        self._set("consequences_1101", consequences_1101)
+        self._set("_key", (statuses, consequences_1101))
 
     @property
     def reducible(self):
@@ -214,7 +232,7 @@ def simulate(rule, init, steps):
     cells = digits[::-1].encode().translate(_CELLS)
     rows = tuple(tuple(cells[i:i + width]) for i in range(0, len(cells), width))
     traj = Trajectory(rule.number, width, steps, rows)
-    object.__setattr__(traj, "_grid", int(digits, 2))
+    traj._set("_grid", int(digits, 2))
     return traj
 
 
@@ -313,12 +331,16 @@ def closed_form(rule, init, x, t):
     raise UnsupportedError(f"no closed form integrated for rule {rule!r}")
 
 
-@dataclass(frozen=True)
-class TrajectoryReport:
+class TrajectoryReport(Value):
     """Violations found in a trajectory, empty tuples when it is clean."""
 
-    rule_violations: tuple[tuple[int, int], ...]
-    consequence_violations: tuple[tuple[tuple[str, ...], int, int], ...]
+    _fields = ("rule_violations", "consequence_violations")
+
+    def __init__(self, rule_violations: tuple[tuple[int, int], ...],
+                 consequence_violations: tuple[tuple[tuple[str, ...], int, int], ...]):
+        self._set("rule_violations", rule_violations)
+        self._set("consequence_violations", consequence_violations)
+        self._set("_key", (rule_violations, consequence_violations))
 
     @property
     def ok(self):
@@ -385,11 +407,15 @@ def _pack_trajectory(traj):
     return int(cells[::-1].translate(_DIGITS), 2)
 
 
+@functools.lru_cache(maxsize=16)
 def _forbidden_patterns(rel, points):
     """Window patterns rel rejects: its non-member cells whose states are all 0/1.
 
     points names the window point each table position reads, in order;
-    a pattern is the (position in RULE_POINTS, state) pair of each.
+    a pattern is the (position in RULE_POINTS, state) pair of each.  Cached
+    for simulate and check_trajectory, which both read a rule's patterns.
+    A check reads at most four relations (the rule and three consequences)
+    and an entry takes about 2 KB, so a few checks' worth is kept.
     """
     if len(points) != rel.domain.k:
         raise DomainError(
@@ -397,7 +423,8 @@ def _forbidden_patterns(rel, points):
     if set(points) - set(RULE_POINTS):
         raise DomainError(f"face {points} is not on the window points {RULE_POINTS}")
     places = [RULE_POINTS.index(p) for p in points]
-    return [tuple(zip(places, states)) for states in members(complement(rel)) if max(states) < 2]
+    return tuple(tuple(zip(places, states)) for states in members(complement(rel))
+                 if max(states) < 2)
 
 
 def _cells(bits):

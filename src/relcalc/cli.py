@@ -116,7 +116,9 @@ def cmd_classify_all(args, out):
     if args.expect is not None:
         got = (counts["reducible"], counts["irreducible"], counts["prime"])
         if got != args.expect:
-            out.write(f"expected {args.expect}, got {got}\n")
+            # after records the note would parse as a key of the last one
+            note = sys.stderr if args.format == "records" else out
+            note.write(f"expected {args.expect}, got {got}\n")
             return 1
     return 0
 

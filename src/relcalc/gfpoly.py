@@ -9,10 +9,9 @@ the form unique for p = 2.
 import itertools
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import DomainError, FormatError, UnsupportedError
-from .relation import Relation, decode_point
+from .relation import Relation, Value, decode_point
 
 
 def _is_prime(n):
@@ -38,13 +37,17 @@ def _normalize(terms, nvars, p):
     return tuple(sorted((e, c) for e, c in acc.items() if c))
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Value):
     """Reduced-form polynomial: exponent tuples mapped to nonzero coefficients."""
 
-    p: int
-    variables: tuple[str, ...]
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+    _fields = ("p", "variables", "terms")
+
+    def __init__(self, p: int, variables: tuple[str, ...],
+                 terms: tuple[tuple[tuple[int, ...], int], ...]):
+        self._set("p", p)
+        self._set("variables", variables)
+        self._set("terms", terms)
+        self._set("_key", (p, variables, terms))
 
     def term_dict(self):
         return dict(self.terms)

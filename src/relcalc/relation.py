@@ -19,7 +19,6 @@ bits only.  The masks are built on first use and kept in a small cache.
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import DomainError, FormatError, UnsupportedError
 
@@ -32,37 +31,68 @@ from .errors import DomainError, FormatError, UnsupportedError
 MAX_TABLE_CELLS = 2 ** 24
 
 
-@dataclass(frozen=True)
-class Domain:
-    """Ordered point names plus the common state count q."""
+class Value:
+    """Base of relcalc's immutable value objects.
 
-    points: tuple[str, ...]
-    q: int
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    A subclass names its constructor fields in _fields, and its __init__
+    stores each through _set along with _key, the tuple of their values.
+    Instances compare equal when they are of the same class with equal
+    _key, hash as hash(_key), print as Name(field=value, ...), and refuse
+    assignment and deletion.  Other attributes set in __init__ are derived
+    from the fields and stay out of _key; copy and pickle carry them along.
+    """
 
-    def __post_init__(self):
-        points = tuple(self.points)
-        object.__setattr__(self, "points", points)
+    _fields = ()
+    _set = object.__setattr__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Domain(Value):
+    """Ordered point names plus the common state count q.
+
+    size, the q^k cells of the bit table, is kept beside the fields.
+    """
+
+    _fields = ("points", "q")
+
+    def __init__(self, points: tuple[str, ...], q: int):
+        points = tuple(points)
         if not points:
             raise DomainError("domain needs at least one point")
         if len(set(points)) != len(points):
             raise DomainError(f"duplicate point names in {points}")
-        if self.q < 2:
-            raise DomainError(f"state count must be >= 2, got {self.q}")
-        if self.q ** len(points) > MAX_TABLE_CELLS:
+        if q < 2:
+            raise DomainError(f"state count must be >= 2, got {q}")
+        size = q ** len(points)
+        if size > MAX_TABLE_CELLS:
             raise UnsupportedError(
-                f"table would need {self.q}^{len(points)} cells "
-                f"(limit {MAX_TABLE_CELLS})")
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
+                f"table would need {q}^{len(points)} cells (limit {MAX_TABLE_CELLS})")
+        self._set("points", points)
+        self._set("q", q)
+        self._set("_key", (points, q))
+        self._set("size", size)
+        self._set("_index", {p: i for i, p in enumerate(points)})
 
     @property
     def k(self):
         return len(self.points)
-
-    @property
-    def size(self):
-        """Number of cells in the bit table."""
-        return self.q ** len(self.points)
 
     def index(self, point):
         try:
@@ -75,23 +105,23 @@ class Domain:
         pts = tuple(points)
         for p in pts:
             self.index(p)
-        if len(set(pts)) != len(pts):
+        kept = set(pts)
+        if len(kept) != len(pts):
             raise DomainError(f"duplicate points in face {pts}")
-        ordered = tuple(p for p in self.points if p in set(pts))
-        return Domain(ordered, self.q)
+        return Domain(tuple(p for p in self.points if p in kept), self.q)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Value):
     """A subset of a domain's hypercube, one membership bit per tuple."""
 
-    domain: Domain
-    bits: int
+    _fields = ("domain", "bits")
 
-    def __post_init__(self):
-        if self.bits < 0 or self.bits.bit_length() > self.domain.size:
-            raise FormatError(
-                f"bit table out of range for {self.domain.size} cells")
+    def __init__(self, domain: Domain, bits: int):
+        if bits < 0 or bits.bit_length() > domain.size:
+            raise FormatError(f"bit table out of range for {domain.size} cells")
+        self._set("domain", domain)
+        self._set("bits", bits)
+        self._set("_key", (domain, bits))
 
     @property
     def size(self):

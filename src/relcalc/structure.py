@@ -6,12 +6,12 @@ trees, and the simplicial complex a relation induces on its points.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import ContractError, DegenerateError, DomainError
 from .relation import (
     Domain,
     Relation,
+    Value,
     cardinality,
     complement,
     cylinder,
@@ -33,21 +33,28 @@ STATUS_IRREDUCIBLE = "irreducible"
 STATUS_REDUCIBLE = "reducible"
 
 
-@dataclass(frozen=True)
-class ConsequenceEntry:
+class ConsequenceEntry(Value):
     """A nontrivial relation on a proper face whose cylinder contains the source."""
 
-    face: Domain
-    relation: Relation
+    _fields = ("face", "relation")
+
+    def __init__(self, face: Domain, relation: Relation):
+        self._set("face", face)
+        self._set("relation", relation)
+        self._set("_key", (face, relation))
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(Value):
     """Codimension-1 consequences plus the principal factor that completes them."""
 
-    source: Relation
-    consequences: tuple[ConsequenceEntry, ...]
-    principal_factor: Relation
+    _fields = ("source", "consequences", "principal_factor")
+
+    def __init__(self, source: Relation, consequences: tuple[ConsequenceEntry, ...],
+                 principal_factor: Relation):
+        self._set("source", source)
+        self._set("consequences", consequences)
+        self._set("principal_factor", principal_factor)
+        self._set("_key", (source, consequences, principal_factor))
 
     @property
     def status(self):
@@ -59,8 +66,7 @@ class CanonicalDecomposition:
         return STATUS_IRREDUCIBLE
 
 
-@dataclass(frozen=True)
-class DecompositionTree:
+class DecompositionTree(Value):
     """Recursive decomposition down to prime leaves.
 
     Children are the distinct nontrivial projections onto codimension-1
@@ -68,10 +74,15 @@ class DecompositionTree:
     for prime and empty nodes (nothing to complete).
     """
 
-    relation: Relation
-    status: str
-    children: tuple["DecompositionTree", ...]
-    principal_factor: Relation | None
+    _fields = ("relation", "status", "children", "principal_factor")
+
+    def __init__(self, relation: Relation, status: str, children: tuple["DecompositionTree", ...],
+                 principal_factor: Relation | None):
+        self._set("relation", relation)
+        self._set("status", status)
+        self._set("children", children)
+        self._set("principal_factor", principal_factor)
+        self._set("_key", (relation, status, children, principal_factor))
 
     @property
     def face(self):
@@ -93,12 +104,15 @@ class DecompositionTree:
         return [n for n in self.walk() if not n.children]
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Value):
     """Point set plus the inclusion-maximal simplices carrying constraints."""
 
-    points: tuple[str, ...]
-    maximal_simplices: frozenset[frozenset[str]]
+    _fields = ("points", "maximal_simplices")
+
+    def __init__(self, points: tuple[str, ...], maximal_simplices: frozenset[frozenset[str]]):
+        self._set("points", points)
+        self._set("maximal_simplices", maximal_simplices)
+        self._set("_key", (points, maximal_simplices))
 
     def sorted_simplices(self):
         """Simplices ordered by point position for stable display."""

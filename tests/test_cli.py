@@ -4,7 +4,14 @@ import time
 
 import pytest
 
-from relcalc import classify_all_rules, parse_relations, structure, wolfram_relation
+from relcalc import (
+    automata,
+    classify_all_rules,
+    format_relation,
+    parse_relations,
+    structure,
+    wolfram_relation,
+)
 from relcalc.cli import main
 
 RULE_30_POLY = """\
@@ -256,6 +263,25 @@ violations: 0
 """
 
 
+def test_simulate_check_reads_each_pattern_set_once(capsys, monkeypatch):
+    # simulate and check_trajectory both need the rule's forbidden patterns
+    tables = []
+    real = automata.members
+
+    def counting(rel):
+        tables.append(rel.domain.points)
+        return real(rel)
+
+    monkeypatch.setattr(automata, "members", counting)
+    automata._forbidden_patterns.cache_clear()
+    code, out, err = run(capsys, "simulate", "110", "--width", "20", "--steps", "6",
+                         "--random", "--check")
+    assert code == 0
+    assert out.endswith("violations: 0\n")
+    assert tables.count(automata.RULE_POINTS) == 1
+    assert len(tables) == len(set(tables)) == 4  # the rule and its three consequences
+
+
 def test_simulate_random_seed_reproducible(capsys):
     code1, out1, _ = run(capsys, "--seed", "7", "simulate", "30",
                          "--width", "15", "--steps", "4", "--random")
@@ -313,6 +339,16 @@ def test_records_format_classify_all(capsys):
     records = parse_relations(out)
     assert len(records) == 256
     assert records[110] == wolfram_relation(110).relation
+
+
+def test_records_expect_mismatch_on_stderr(capsys):
+    code, out, err = run(capsys, "--format", "records", "classify-all", "--expect", "1,2,3")
+    assert code == 1
+    assert err == "expected (1, 2, 3), got (118, 138, 2)\n"
+    assert len(parse_relations(out)) == 256
+    assert "expected" not in out
+    last = format_relation(wolfram_relation(255).relation, extra={"rule": 255, "status": "reducible"})
+    assert out.endswith("\n" + last)
 
 
 @pytest.mark.parametrize("argv", [["base"], ["topology"], ["project", "--onto", "a"]])
