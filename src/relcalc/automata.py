@@ -14,12 +14,14 @@ t*width + x = cell (x, t); p and r the grid rotated within each row, s the
 grid one row down) the patterns are a relation's forbidden ones, its
 non-member cells with all states 0/1: simulate ORs the rule's with s = 0,
 less s, row by row; check_trajectory ORs each relation's over all rows at once.
+Rows enter the grid through one packer, _pack_rows, which refuses a state
+other than 0/1, and violations are read off the masks with the kernel's
+set-bit scanner.
 """
 
 import functools
 import itertools
 import math
-import operator
 import random
 
 from .errors import DomainError, UnsupportedError
@@ -28,6 +30,7 @@ from .relation import (
     Domain,
     Relation,
     Value,
+    _set_bits,
     complement,
     digit_planes,
     members,
@@ -202,27 +205,29 @@ def classify_all_rules():
 def simulate(rule, init, steps):
     """Evolve a periodic row; rows[t][x] is the state at (x, t).
 
-    rule is a rule number or an ElementaryRule; the next state is 1 where
-    its relation forbids s = 0.  A grid of more than MAX_TABLE_CELLS cells,
-    width * (steps + 1), is refused with DomainError before anything is built.
+    rule is a rule number or an ElementaryRule, and init a sequence of
+    states or a string of 0/1 characters.  The next state is 1 where the
+    rule's relation forbids s = 0.  A state other than 0/1 in init, or a
+    grid of more than MAX_TABLE_CELLS cells, width * (steps + 1), is
+    refused with DomainError before anything is built.
     """
     if isinstance(rule, int):
         rule = wolfram_relation(rule)
-    row = tuple(int(v) for v in init)
-    if len(row) < 3:
-        raise DomainError(f"width {len(row)} is below the 3-cell neighborhood")
-    if set(row) - {0, 1}:
-        raise DomainError("initial row must be 0/1")
+    if isinstance(init, str):
+        init = [_STATES.get(c, c) for c in init]
+    row = tuple(init)
+    width = len(row)
+    if width < 3:
+        raise DomainError(f"width {width} is below the 3-cell neighborhood")
     if steps < 0:
         raise DomainError("steps must be nonnegative")
-    width = len(row)
     if width * (steps + 1) > MAX_TABLE_CELLS:
         raise DomainError(
             f"trajectory would need {width} x {steps + 1} cells (limit {MAX_TABLE_CELLS})")
     mask = (1 << width) - 1
     minterms = [pattern[:3] for pattern in _forbidden_patterns(rule.relation, RULE_POINTS)
                 if pattern[3] == (3, 0)]
-    bits = _pack(row)
+    bits = _pack_rows((row,), width)
     packed = [bits]
     for _ in range(steps):
         bits = _matches(_literals(_neighbors(bits, width, 1), mask), minterms, mask)
@@ -239,11 +244,25 @@ def simulate(rule, init, steps):
 # Byte translations between a row's cells (one 0/1 byte each) and binary digits.
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _CELLS = bytes.maketrans(b"01", b"\0\1")
+_STATES = {"0": 0, "1": 1}
 
 
-def _pack(row):
-    """A 0/1 row as an int, bit x = cell x."""
-    return int(bytes(row)[::-1].translate(_DIGITS), 2)
+def _pack_rows(rows, width):
+    """Rows of width cells packed side by side, bit t*width + x = cell (x, t).
+
+    A row of another length or a state other than 0/1 raises DomainError.
+    """
+    if set(map(len, rows)) - {width}:
+        t, row = next((t, row) for t, row in enumerate(rows) if len(row) != width)
+        raise DomainError(f"row {t} has {len(row)} cells, width is {width}")
+    bad_state = "a row holds a state other than 0/1"
+    try:
+        cells = b"".join(map(bytes, rows))
+    except (TypeError, ValueError):  # a state that is not an int in range(256)
+        raise DomainError(bad_state) from None
+    if cells.translate(None, b"\0\1"):
+        raise DomainError(bad_state)
+    return int(cells[::-1].translate(_DIGITS), 2)
 
 
 def _first_column(width, rows):
@@ -364,20 +383,15 @@ def check_trajectory(rule, traj, consequences=None):
     cons_patterns = [_forbidden_patterns(e.relation, e.face.points) for e in entries]
     grid = _grid_of(traj)
     width = traj.width
-    windows = width * traj.steps
-    full = (1 << windows) - 1
+    full = (1 << width * traj.steps) - 1
     cur = grid & full
     lits = _literals(_neighbors(cur, width, _first_column(width, traj.steps))
                      + (grid >> width,), full)
-    rule_bad = [(i % width, i // width) for i in _cells(_matches(lits, rule_patterns, full))]
-    cons_masks = [_matches(lits, patterns, full) for patterns in cons_patterns]
-    cons_digits = [format(bad, f"0{windows}b")[::-1] for bad in cons_masks]
-    cons_bad = []
-    for i in _cells(functools.reduce(operator.or_, cons_masks, 0)):
-        t, x = divmod(i, width)
-        cons_bad.extend((entry.face.points, x, t)
-                        for entry, digits in zip(entries, cons_digits) if digits[i] == "1")
-    return TrajectoryReport(tuple(rule_bad), tuple(cons_bad))
+    rule_bad = [(i % width, i // width) for i in _set_bits(_matches(lits, rule_patterns, full))]
+    cons_bad = sorted((i, n) for n, patterns in enumerate(cons_patterns)
+                      for i in _set_bits(_matches(lits, patterns, full)))
+    return TrajectoryReport(tuple(rule_bad), tuple(
+        (entries[n].face.points, i % width, i // width) for i, n in cons_bad))
 
 
 def _grid_of(traj):
@@ -394,17 +408,7 @@ def _pack_trajectory(traj):
             f"trajectory has {len(traj.rows)} rows, {traj.steps} steps need {traj.steps + 1}")
     if traj.width < 1:
         raise DomainError(f"trajectory width {traj.width} is not positive")
-    if set(map(len, traj.rows)) != {traj.width}:
-        t, row = next((t, row) for t, row in enumerate(traj.rows) if len(row) != traj.width)
-        raise DomainError(f"row {t} has {len(row)} cells, width is {traj.width}")
-    bad_state = "trajectory holds a state other than 0/1"
-    try:
-        cells = b"".join(map(bytes, traj.rows))
-    except (TypeError, ValueError):  # a state that is not an int in range(256)
-        raise DomainError(bad_state) from None
-    if cells.translate(None, b"\0\1"):
-        raise DomainError(bad_state)
-    return int(cells[::-1].translate(_DIGITS), 2)
+    return _pack_rows(traj.rows, traj.width)
 
 
 @functools.lru_cache(maxsize=16)
@@ -425,12 +429,3 @@ def _forbidden_patterns(rel, points):
     places = [RULE_POINTS.index(p) for p in points]
     return tuple(tuple(zip(places, states)) for states in members(complement(rel))
                  if max(states) < 2)
-
-
-def _cells(bits):
-    """Positions of the set bits, ascending, found in one binary string."""
-    digits = bin(bits)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)

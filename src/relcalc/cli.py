@@ -213,10 +213,7 @@ def cmd_project(args, out):
 
 def cmd_simulate(args, out):
     if args.init is not None:
-        text = args.init.strip()
-        if set(text) - {"0", "1"}:
-            raise RelcalcError(f"initial row must be 0/1 characters, got {text!r}")
-        init = tuple(int(c) for c in text)
+        init = args.init.strip()
     elif args.random:
         init = automata.random_row(args.width, args.seed)
     else:

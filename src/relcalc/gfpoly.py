@@ -212,43 +212,39 @@ def parse_polynomial(text, p=2, variables=None):
         tokens.append(m.group(1))
         pos = m.end()
 
-    raw_terms = []
-    current = None
-    sign = 1
-    for tok in tokens:
+    # A term is [signed coefficient, name, exponent, name, exponent, ...];
+    # an exponent is None from its '^' to its digits.  The "+" appended to
+    # the tokens closes the last term.
+    terms, term, sign, dangling = [], None, 1, False
+    for tok in tokens + ["+"]:
+        pending = term is not None and term[-1] is None
         if tok in "+-":
-            if current is not None:
-                raw_terms.append((sign, current))
-            current = None
-            sign = 1 if tok == "+" else -1
+            if term is not None:
+                terms.append(term)
+                dangling |= pending
+            term, sign = None, -1 if tok == "-" else 1
             continue
-        if current is None:
-            current = {"coeff": 1, "vars": []}
+        if term is None:
+            term = [sign]
         if tok.isdigit():
-            if current["vars"] and current["vars"][-1][1] is None:
-                current["vars"][-1] = (current["vars"][-1][0], int(tok))
+            if pending:
+                term[-1] = int(tok)
             else:
-                current["coeff"] *= int(tok)
+                term[0] *= int(tok)
         elif tok == "^":
-            if not current["vars"] or current["vars"][-1][1] is None:
+            if len(term) == 1 or pending:
                 raise FormatError("dangling '^' in polynomial text")
-            current["vars"][-1] = (current["vars"][-1][0], None)
+            term[-1] = None
+        elif pending:
+            raise FormatError(f"expected exponent digits before {tok!r}")
         else:
-            if current["vars"] and current["vars"][-1][1] is None:
-                raise FormatError(f"expected exponent digits before {tok!r}")
-            current["vars"].append((tok, 1))
-    if current is None:
+            term += [tok, 1]
+    if tokens[-1] in "+-":
         raise FormatError("polynomial text ends with a dangling sign")
-    raw_terms.append((sign, current))
-    for _, term in raw_terms:
-        if term["vars"] and term["vars"][-1][1] is None:
-            raise FormatError("dangling '^' in polynomial text")
+    if dangling:
+        raise FormatError("dangling '^' in polynomial text")
 
-    seen = []
-    for _, term in raw_terms:
-        for name, _ in term["vars"]:
-            if name not in seen:
-                seen.append(name)
+    seen = dict.fromkeys(name for term in terms for name in term[1::2])
     if variables is None:
         variables = tuple(seen)
     else:
@@ -256,14 +252,13 @@ def parse_polynomial(text, p=2, variables=None):
         unknown = [n for n in seen if n not in variables]
         if unknown:
             raise FormatError(f"unknown variables {unknown}")
-
-    terms = []
-    for sign, term in raw_terms:
+    out = []
+    for term in terms:
         exps = [0] * len(variables)
-        for name, e in term["vars"]:
+        for name, e in zip(term[1::2], term[2::2]):
             exps[variables.index(name)] += e
-        terms.append((tuple(exps), sign * term["coeff"]))
-    return polynomial(p, variables, terms)
+        out.append((tuple(exps), term[0]))
+    return polynomial(p, variables, out)
 
 
 def _display_key(exps):

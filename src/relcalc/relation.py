@@ -133,10 +133,8 @@ class Relation(Value):
 
     def hex_string(self):
         """Hex digits, most significant nibble covering ordinals 0-3."""
-        s = self.bit_string()
-        pad = -len(s) % 4
-        s += "0" * pad
-        return "".join(format(int(s[i:i + 4], 2), "X") for i in range(0, len(s), 4))
+        digits = (self.size + 3) // 4
+        return format(int(self.bit_string().ljust(4 * digits, "0"), 2), f"0{digits}X")
 
 
 def encode_point(states, q):
@@ -186,6 +184,9 @@ def make_relation(domain, bits):
     return Relation(domain, value)
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def relation_from_hex(domain, text):
     """Build a relation from hex digits (see Relation.hex_string)."""
     text = text.strip()
@@ -193,14 +194,12 @@ def relation_from_hex(domain, text):
     if len(text) != expected:
         raise FormatError(
             f"hex table has {len(text)} digits, domain needs {expected}")
-    try:
-        chunks = [format(int(c, 16), "04b") for c in text]
-    except ValueError:
-        raise FormatError(f"bad hex digit in {text!r}") from None
-    bitstr = "".join(chunks)
-    if len(bitstr) > domain.size and bitstr[domain.size:].strip("0"):
+    if not _HEX_DIGITS.issuperset(text):  # int(text, 16) also takes 0x, _, + and spaces
+        raise FormatError(f"bad hex digit in {text!r}")
+    bitstr = format(int(text, 16), f"0{4 * expected}b")
+    if bitstr[domain.size:].strip("0"):
         raise FormatError("hex table has nonzero padding past the last ordinal")
-    return make_relation(domain, bitstr[:domain.size])
+    return Relation(domain, int(bitstr[:domain.size][::-1], 2))
 
 
 def relation_from_members(domain, tuples):
@@ -247,12 +246,18 @@ def members(rel):
     half = k // 2
     low = [t[::-1] for t in itertools.product(range(q), repeat=half)]
     high = [t[::-1] for t in itertools.product(range(q), repeat=k - half)]
-    table = format(rel.bits, "b")[::-1]
-    i = table.find("1")
-    while i >= 0:
+    for i in _set_bits(rel.bits):
         hi, lo = divmod(i, len(low))
         yield low[lo] + high[hi]
-        i = table.find("1", i + 1)
+
+
+def _set_bits(bits):
+    """Positions of the set bits of a nonnegative int, ascending, read off one binary string."""
+    digits = format(bits, "b")[::-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def cardinality(rel):

@@ -2,22 +2,27 @@
 
 Relations are plain sets of state tuples here, with points tracked as a
 separate name tuple.  Nothing in this module uses the package's bit
-tables except the boundary converters `member_list` and `cells`, which
-read them one cell at a time without calling the package, and the table
-builders `o_rule_table` and `o_life_table`, which fill one cell at a time.
+tables except the boundary converters `member_list`, `cells` and
+`o_hex_string`, which read them one cell at a time without calling the
+package, and the table builders `o_rule_table` and `o_life_table`, which
+fill one cell at a time.  `o_parse_polynomial` hands its terms to the
+package's `polynomial`.
 """
 
 import itertools
 import random
+import re
 
 from relcalc import (
     Domain,
+    FormatError,
     Relation,
     canonical_decomposition,
     extend,
     intersect,
     is_trivial,
     is_reducible,
+    polynomial,
     project,
 )
 
@@ -41,6 +46,18 @@ def member_list(rel):
 
 def to_members(rel):
     return set(member_list(rel))
+
+
+def o_hex_string(rel):
+    """Hex digits of a table, one nibble of four ordinals at a time, ordinal 0 leading."""
+    size = rel.domain.size
+    nibbles = []
+    for start in range(0, size, 4):
+        value = 0
+        for i in range(start, start + 4):
+            value = 2 * value + (i < size and rel.bits >> i & 1)
+        nibbles.append("0123456789ABCDEF"[value])
+    return "".join(nibbles)
 
 
 def cells(bits):
@@ -279,3 +296,75 @@ def run_reducible_suite(n, seed):
         assert reducible == is_trivial(dec.principal_factor)
         assert reducible == o_is_reducible(to_members(rel), domain.points, domain.q)
     return n
+
+
+# Tokens of polynomial text: digits, a letter with optional digits, '^', '+' or '-'.
+O_TOKEN = re.compile(r"\s*(\d+|[A-Za-z][0-9]*|\^|\+|-)")
+
+
+def o_parse_polynomial(text, p=2, variables=None):
+    """parse_polynomial as a dict per term, then one pass each for '^', order and exponents."""
+    text = re.sub(r"=\s*0\s*$", "", text.strip())
+    if not text:
+        raise FormatError("empty polynomial text")
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        m = O_TOKEN.match(text, pos)
+        if not m:
+            raise FormatError(f"bad character at position {pos}: {text[pos]!r}")
+        tokens.append(m.group(1))
+        pos = m.end()
+
+    raw_terms = []
+    current = None
+    sign = 1
+    for tok in tokens:
+        if tok in "+-":
+            if current is not None:
+                raw_terms.append((sign, current))
+            current = None
+            sign = 1 if tok == "+" else -1
+            continue
+        if current is None:
+            current = {"coeff": 1, "vars": []}
+        if tok.isdigit():
+            if current["vars"] and current["vars"][-1][1] is None:
+                current["vars"][-1] = (current["vars"][-1][0], int(tok))
+            else:
+                current["coeff"] *= int(tok)
+        elif tok == "^":
+            if not current["vars"] or current["vars"][-1][1] is None:
+                raise FormatError("dangling '^' in polynomial text")
+            current["vars"][-1] = (current["vars"][-1][0], None)
+        else:
+            if current["vars"] and current["vars"][-1][1] is None:
+                raise FormatError(f"expected exponent digits before {tok!r}")
+            current["vars"].append((tok, 1))
+    if current is None:
+        raise FormatError("polynomial text ends with a dangling sign")
+    raw_terms.append((sign, current))
+    for _, term in raw_terms:
+        if term["vars"] and term["vars"][-1][1] is None:
+            raise FormatError("dangling '^' in polynomial text")
+
+    seen = []
+    for _, term in raw_terms:
+        for name, _ in term["vars"]:
+            if name not in seen:
+                seen.append(name)
+    if variables is None:
+        variables = tuple(seen)
+    else:
+        variables = tuple(variables)
+        unknown = [n for n in seen if n not in variables]
+        if unknown:
+            raise FormatError(f"unknown variables {unknown}")
+
+    terms = []
+    for sign, term in raw_terms:
+        exps = [0] * len(variables)
+        for name, e in term["vars"]:
+            exps[variables.index(name)] += e
+        terms.append((tuple(exps), sign * term["coeff"]))
+    return polynomial(p, variables, terms)

@@ -151,6 +151,11 @@ def test_simulate_guards():
         simulate(90, (0, 2, 0), 1)
     with pytest.raises(DomainError):
         simulate(90, (0, 1, 0), -1)
+    # every state other than 0/1 is refused, as check_trajectory refuses it
+    for row in ((0, 1.5, 1), (0, None, 1), "01a"):
+        with pytest.raises(DomainError):
+            simulate(90, row, 1)
+    assert simulate(90, "010", 2).rows == ((0, 1, 0), (1, 0, 1), (1, 0, 1))
 
 
 def test_random_row_seeded():

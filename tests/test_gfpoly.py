@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relcalc import (
     Domain,
@@ -33,6 +35,8 @@ from relcalc import (
     wolfram_relation,
     zero,
 )
+
+import oracle
 
 RULE_POINTS = ("p", "q", "r", "s")
 
@@ -214,6 +218,25 @@ def test_parse_errors():
         parse_polynomial("p+")
     with pytest.raises(FormatError):
         parse_polynomial("p+q", variables=("p",))
+
+
+def _parse_outcome(parse, text, p, variables):
+    try:
+        return parse(text, p, variables)
+    except FormatError as exc:
+        return str(exc)
+
+
+POLY_TOKENS = ("p", "x1", "0", "1", "2", "12", "^", "+", "-", " ", "*", "= 0")
+
+
+@given(st.lists(st.sampled_from(POLY_TOKENS), max_size=10).map("".join),
+       st.sampled_from((2, 3)),
+       st.sampled_from((None, ("p", "x1"), ("x1", "q", "p"), ("x1",))))
+def test_parse_matches_oracle(text, p, variables):
+    """Same polynomial, or the same FormatError message, as the reference parser."""
+    assert (_parse_outcome(parse_polynomial, text, p, variables)
+            == _parse_outcome(oracle.o_parse_polynomial, text, p, variables))
 
 
 def test_display_order_degree_then_position():

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relcalc import (
     Domain,
@@ -148,6 +150,20 @@ def test_hex_string_guards():
     with pytest.raises(FormatError):
         # nonzero padding past ordinal 8
         relation_from_hex(d, "954")
+    # int(text, 16) would take each of these, all of the right length
+    for text in ("0x8", "9_0", "+98", "9 0", "-98"):
+        with pytest.raises(FormatError):
+            relation_from_hex(d, text)
+
+
+@given(st.sampled_from([(q, k) for q in (2, 3, 5) for k in range(1, 5)]), st.data())
+def test_hex_round_trip(shape, data):
+    q, k = shape
+    d = Domain(tuple("abcd"[:k]), q)
+    r = Relation(d, data.draw(st.integers(0, (1 << d.size) - 1)))
+    assert r.hex_string() == oracle.o_hex_string(r)
+    assert relation_from_hex(d, r.hex_string()) == r
+    assert relation_from_hex(d, r.hex_string().lower()) == r
 
 
 def test_membership_and_cardinality():
