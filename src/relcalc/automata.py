@@ -30,6 +30,7 @@ from .relation import (
     Domain,
     Relation,
     Value,
+    _pack_cells,
     _set_bits,
     complement,
     digit_planes,
@@ -241,8 +242,7 @@ def simulate(rule, init, steps):
     return traj
 
 
-# Byte translations between a row's cells (one 0/1 byte each) and binary digits.
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# Byte translation from binary digits to a row's cells (one 0/1 byte each).
 _CELLS = bytes.maketrans(b"01", b"\0\1")
 _STATES = {"0": 0, "1": 1}
 
@@ -255,14 +255,10 @@ def _pack_rows(rows, width):
     if set(map(len, rows)) - {width}:
         t, row = next((t, row) for t, row in enumerate(rows) if len(row) != width)
         raise DomainError(f"row {t} has {len(row)} cells, width is {width}")
-    bad_state = "a row holds a state other than 0/1"
     try:
-        cells = b"".join(map(bytes, rows))
-    except (TypeError, ValueError):  # a state that is not an int in range(256)
-        raise DomainError(bad_state) from None
-    if cells.translate(None, b"\0\1"):
-        raise DomainError(bad_state)
-    return int(cells[::-1].translate(_DIGITS), 2)
+        return _pack_cells(b"".join(map(bytes, rows)))
+    except (TypeError, ValueError):  # a state that is not an int in range(256), or not 0/1
+        raise DomainError("a row holds a state other than 0/1") from None
 
 
 def _first_column(width, rows):

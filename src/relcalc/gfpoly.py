@@ -215,9 +215,10 @@ def parse_polynomial(text, p=2, variables=None):
     # A term is [signed coefficient, name, exponent, name, exponent, ...];
     # an exponent is None from its '^' to its digits.  The "+" appended to
     # the tokens closes the last term.
-    terms, term, sign, dangling = [], None, 1, False
+    terms, term, sign, dangling, exponent = [], None, 1, False, False
     for tok in tokens + ["+"]:
         pending = term is not None and term[-1] is None
+        after_exponent, exponent = exponent, False
         if tok in "+-":
             if term is not None:
                 terms.append(term)
@@ -228,12 +229,14 @@ def parse_polynomial(text, p=2, variables=None):
             term = [sign]
         if tok.isdigit():
             if pending:
-                term[-1] = int(tok)
+                term[-1], exponent = int(tok), True
             else:
                 term[0] *= int(tok)
         elif tok == "^":
             if len(term) == 1 or pending:
                 raise FormatError("dangling '^' in polynomial text")
+            if after_exponent:
+                raise FormatError("second '^' on one variable in polynomial text")
             term[-1] = None
         elif pending:
             raise FormatError(f"expected exponent digits before {tok!r}")

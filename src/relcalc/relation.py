@@ -176,12 +176,27 @@ def make_relation(domain, bits):
         if len(seq) != domain.size:
             raise FormatError(
                 f"bit sequence has {len(seq)} entries, domain needs {domain.size}")
-        value = 0
-        for i, b in enumerate(seq):
-            if b not in (0, 1):
-                raise FormatError(f"bit sequence entry {b!r} is not 0/1")
-            value |= b << i
+        try:
+            value = _pack_cells(bytes(seq))
+        except (TypeError, ValueError):  # an entry that is not an int in range(256), or not 0/1
+            bad = next(b for b in seq if not isinstance(b, int) or b not in (0, 1))
+            raise FormatError(f"bit sequence entry {bad!r} is not 0/1") from None
     return Relation(domain, value)
+
+
+# Byte translation from cells (one 0/1 byte each) to binary digits.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pack_cells(cells):
+    """The int whose bit i is cells[i], for nonempty bytes of 0/1 cells.
+
+    Any other byte raises ValueError.  One translate and one int parse,
+    so the cost is linear in the number of cells.
+    """
+    if cells.translate(None, b"\0\1"):
+        raise ValueError("a cell is not 0/1")
+    return int(cells[::-1].translate(_DIGITS), 2)
 
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")

@@ -72,6 +72,11 @@ class DecompositionTree(Value):
     Children are the distinct nontrivial projections onto codimension-1
     faces, shared between parents when faces coincide.  The factor is None
     for prime and empty nodes (nothing to complete).
+
+    The children form a DAG, so hashing and equality visit each node once
+    rather than each root-to-node path: the hash is kept from construction,
+    and == compares each pair of nodes once.  Copies and pickles rebuild
+    through the constructor, so the kept hash never outlives its process.
     """
 
     _fields = ("relation", "status", "children", "principal_factor")
@@ -83,22 +88,50 @@ class DecompositionTree(Value):
         self._set("children", children)
         self._set("principal_factor", principal_factor)
         self._set("_key", (relation, status, children, principal_factor))
+        self._set("_hash", hash(self._key))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen, pairs = set(), [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if (a.__class__ is not b.__class__ or a._hash != b._hash
+                    or len(a.children) != len(b.children)
+                    or (a.relation, a.status, a.principal_factor)
+                    != (b.relation, b.status, b.principal_factor)):
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
+
+    def __reduce__(self):
+        return self.__class__, self._key
 
     @property
     def face(self):
         return self.relation.domain.points
 
     def walk(self):
-        """Yield each distinct node once, parents before children."""
-        seen = set()
-        stack = [self]
+        """Yield each distinct node once: the root first, every parent before each child.
+
+        The order is the reverse post-order of one depth-first pass.
+        """
+        order, seen, stack = [], {id(self)}, [(self, iter(self.children))]
         while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            yield node
-            stack.extend(node.children)
+            for child in stack[-1][1]:
+                if id(child) not in seen:
+                    seen.add(id(child))
+                    stack.append((child, iter(child.children)))
+                    break
+            else:
+                order.append(stack.pop()[0])
+        yield from reversed(order)
 
     def leaves(self):
         return [n for n in self.walk() if not n.children]
@@ -280,26 +313,19 @@ def _tree_node(r, memo, dec=None):
 def impose_topology(rel, _root=None):
     """Simplicial complex whose maximal simplices carry rel's irreducible parts.
 
-    Reducible nodes dissolve into their consequences; prime and
-    irreducible nodes contribute their own face.  A trivial relation
-    constrains nothing, so only isolated vertices remain.  _root is
-    passed on to decomposition_tree.
+    The simplices are the maximal faces among the prime and irreducible
+    nodes of one walk of the tree: reducible nodes dissolve into their
+    consequences, and a node below a prime or irreducible one lies strictly
+    inside its face, so it is never maximal.  A trivial relation constrains
+    nothing, so only isolated vertices remain.  _root is passed on to
+    decomposition_tree.
     """
     if is_empty(rel):
         raise DegenerateError("empty relation carries no topology")
-    faces = set()
-    _collect_faces(decomposition_tree(rel, _root), faces)
+    faces = {frozenset(node.face) for node in decomposition_tree(rel, _root).walk()
+             if node.status in (STATUS_PRIME, STATUS_IRREDUCIBLE)}
     maximal = {f for f in faces if not any(f < g for g in faces)}
     return SimplicialComplex(rel.domain.points, frozenset(maximal))
-
-
-def _collect_faces(node, faces):
-    """Add the faces of the prime and irreducible nodes below reducible ones."""
-    if node.status == STATUS_REDUCIBLE:
-        for child in node.children:
-            _collect_faces(child, faces)
-    elif node.status in (STATUS_PRIME, STATUS_IRREDUCIBLE):
-        faces.add(frozenset(node.relation.domain.points))
 
 
 def count_consequences(rel):

@@ -151,6 +151,17 @@ def o_status(member_set, points, q):
     return "reducible" if o_is_reducible(member_set, points, q) else "irreducible"
 
 
+def o_topology(member_set, points, q):
+    """Maximal faces whose projection is nontrivial and prime or irreducible, face by face."""
+    faces = set()
+    for size in range(1, len(points) + 1):
+        for face in itertools.combinations(points, size):
+            proj = o_project(member_set, points, face)
+            if o_status(proj, face, q) in ("prime", "irreducible"):
+                faces.add(frozenset(face))
+    return {f for f in faces if not any(f < g for g in faces)}
+
+
 def o_principal_factor(member_set, points, q):
     joint = o_joint_cylinder(member_set, points, q)
     full = set(all_tuples(len(points), q))
@@ -319,7 +330,7 @@ def o_parse_polynomial(text, p=2, variables=None):
     raw_terms = []
     current = None
     sign = 1
-    for tok in tokens:
+    for i, tok in enumerate(tokens):
         if tok in "+-":
             if current is not None:
                 raw_terms.append((sign, current))
@@ -336,6 +347,8 @@ def o_parse_polynomial(text, p=2, variables=None):
         elif tok == "^":
             if not current["vars"] or current["vars"][-1][1] is None:
                 raise FormatError("dangling '^' in polynomial text")
+            if i >= 2 and tokens[i - 2] == "^":  # the previous token was exponent digits
+                raise FormatError("second '^' on one variable in polynomial text")
             current["vars"][-1] = (current["vars"][-1][0], None)
         else:
             if current["vars"] and current["vars"][-1][1] is None:

@@ -218,6 +218,9 @@ def test_parse_errors():
         parse_polynomial("p+")
     with pytest.raises(FormatError):
         parse_polynomial("p+q", variables=("p",))
+    for text in ("x^2^3", "x^2^0"):  # a second exponent neither replaces nor multiplies the first
+        with pytest.raises(FormatError, match="second '\\^'"):
+            parse_polynomial(text, p=5)
 
 
 def _parse_outcome(parse, text, p, variables):

@@ -1,10 +1,10 @@
 """Differential tests of the bit-parallel kernel against the set oracle.
 
 Every kernel entry point (extend, project, cylinder, permute_points,
-members, digit_planes, the codimension-1 analysis and the decomposition
-tree) is compared with tests/oracle.py for q in {2, 3, 5} and up to six
-points.  Point names and faces come in arbitrary order, so the
-axis-reordering path is reached as well.  The algebraic laws are checked
+members, digit_planes, the codimension-1 analysis, the decomposition
+tree and the topology it induces) is compared with tests/oracle.py for
+q in {2, 3, 5} and up to six points.  Point names and faces come in
+arbitrary order, so the axis-reordering path is reached as well.  The algebraic laws are checked
 on the same inputs.
 """
 
@@ -19,6 +19,7 @@ from relcalc import (
     decomposition_tree,
     digit_planes,
     extend,
+    impose_topology,
     intersect,
     is_empty,
     is_prime,
@@ -46,8 +47,8 @@ def tables(size):
 
 
 @st.composite
-def domains(draw):
-    q, k = draw(st.sampled_from(SHAPES))
+def domains(draw, shapes=SHAPES):
+    q, k = draw(st.sampled_from(shapes))
     return Domain(tuple(draw(st.permutations(LETTERS))[:k]), q)
 
 
@@ -147,6 +148,33 @@ def test_decomposition_tree_matches_oracle(domain, data):
         got = oracle.to_members(node.relation)
         assert got == oracle.o_project(mem, domain.points, node.face)
         assert node.status == oracle.o_status(got, node.face, q)
+
+
+@given(domains(), st.data())
+def test_walk_yields_parents_first(domain, data):
+    """The root first, each distinct node once, and every parent before each of its children."""
+    tree = decomposition_tree(relation(data.draw, domain))
+    nodes = list(tree.walk())
+    order = {id(node): i for i, node in enumerate(nodes)}
+    reachable, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in reachable:
+            reachable.add(id(node))
+            stack.extend(node.children)
+    assert len(order) == len(nodes) == len(reachable) and nodes[0] is tree
+    for node in nodes:
+        assert all(order[id(node)] < order[id(child)] for child in node.children)
+
+
+@given(domains(tuple(s for s in SHAPES if s[1] <= 5)), st.data())
+def test_topology_matches_oracle(domain, data):
+    rel = relation(data.draw, domain)
+    assume(not is_empty(rel))
+    got = impose_topology(rel)
+    assert got.points == domain.points
+    assert got.maximal_simplices == oracle.o_topology(
+        oracle.to_members(rel), domain.points, domain.q)
 
 
 @given(domains(), st.data())

@@ -113,6 +113,16 @@ def test_make_relation_forms():
     assert set(members(s)) == {(0, 0), (0, 1)}
 
 
+@given(st.sampled_from([(q, k) for q in (2, 3, 5) for k in range(1, 7)]), st.data())
+def test_make_relation_list_matches_string(shape, data):
+    q, k = shape
+    d = Domain(tuple("abcdef"[:k]), q)
+    bits = data.draw(st.integers(0, (1 << d.size) - 1))
+    cells = [bits >> i & 1 for i in range(d.size)]
+    text = "".join(map(str, cells))
+    assert make_relation(d, cells) == make_relation(d, text) == Relation(d, bits)
+
+
 def test_make_relation_guards():
     d = Domain(("a", "b"), 2)
     with pytest.raises(FormatError):
@@ -123,6 +133,11 @@ def test_make_relation_guards():
         make_relation(d, [1, 0, 1])
     with pytest.raises(FormatError):
         make_relation(d, [1, 0, 2, 0])
+    with pytest.raises(FormatError, match="entry 1.0 is not 0/1"):
+        make_relation(d, [1.0, 0, 1, 0])
+    with pytest.raises(FormatError, match="entry '1' is not 0/1"):
+        make_relation(d, [1, 0, "1", 0])
+    assert make_relation(d, [True, False, True, False]) == make_relation(d, "1010")
     with pytest.raises(FormatError):
         Relation(d, 1 << 4)
     with pytest.raises(FormatError):

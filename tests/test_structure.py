@@ -1,17 +1,26 @@
 """Base relations, consequences, decomposition, induced topology."""
 
+import copy
 import gc
+import os
+import pickle
 import random
+import subprocess
+import sys
+import time
 import weakref
 
 import pytest
 
+import relcalc
 from relcalc import (
     ConsequenceEntry,
+    DecompositionTree,
     ContractError,
     DegenerateError,
     Domain,
     DomainError,
+    Relation,
     extend,
     intersect,
     STATUS_EMPTY,
@@ -52,6 +61,12 @@ RULE_DOMAIN = Domain(("p", "q", "r", "s"), 2)
 
 def rule(n):
     return wolfram_relation(n).relation
+
+
+def chain(n):
+    """x0 <= x1 <= ... <= x(n-1) on binary points: the pairs are its only constraints."""
+    d = Domain(tuple(f"x{i}" for i in range(n)), 2)
+    return relation_from_members(d, [(0,) * (n - j) + (1,) * j for j in range(n + 1)])
 
 
 def test_proper_faces_enumeration():
@@ -288,6 +303,86 @@ def test_decomposition_tree_leaves_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_walk_yields_parents_first_on_life():
+    tree = decomposition_tree(life_relation())
+    nodes = list(tree.walk())
+    order = {id(node): i for i, node in enumerate(nodes)}
+    assert len(order) == len(nodes) == 326 and nodes[0] is tree
+    for node in nodes:
+        assert all(order[id(node)] < order[id(child)] for child in node.children)
+
+
+def test_tree_hash_and_equality_across_builds():
+    life = life_relation()
+    for rel in (life, chain(6)):
+        a, b = decomposition_tree(rel), decomposition_tree(rel)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) == hash(a._key)
+        assert len({a, b}) == 1
+    assert decomposition_tree(rule(30)) != decomposition_tree(rule(90))
+    dropped = Relation(life.domain, life.bits & (life.bits - 1))  # one member less
+    assert decomposition_tree(life) != decomposition_tree(dropped)
+
+
+def test_tree_equality_ignores_sharing():
+    # a node reused by two parents equals two equal copies of it
+    def node(points, bits, status, *children):
+        return DecompositionTree(Relation(Domain(points, 2), bits), status, children, None)
+
+    leaf = node(("b",), 1, STATUS_PRIME)
+    twin = node(("b",), 1, STATUS_PRIME)
+    other = node(("b",), 2, STATUS_PRIME)
+
+    def root(left_leaf, right_leaf):
+        return node(("a", "b", "c"), 1, STATUS_REDUCIBLE,
+                    node(("a", "b"), 1, STATUS_REDUCIBLE, left_leaf),
+                    node(("b", "c"), 1, STATUS_REDUCIBLE, right_leaf))
+
+    shared, copies, differs = root(leaf, leaf), root(leaf, twin), root(leaf, other)
+    assert shared == copies and copies == shared
+    assert hash(shared) == hash(copies)
+    assert shared != differs and differs != copies
+    assert (shared == copies, shared == differs) == (
+        shared._key == copies._key, shared._key == differs._key)
+
+
+def test_tree_copies_keep_sharing():
+    tree = decomposition_tree(life_relation())
+    for clone in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert clone == tree and hash(clone) == hash(tree)
+        assert len(list(clone.walk())) == 326
+
+
+def test_tree_pickle_crosses_hash_seeds():
+    # the hash kept in a node is rebuilt on load, not carried from the dumping process
+    src = os.path.dirname(os.path.dirname(relcalc.__file__))
+    dump = ("import pickle, sys, relcalc; sys.stdout.buffer.write(pickle.dumps("
+            "relcalc.decomposition_tree(relcalc.life_relation())))")
+    load = ("import pickle, sys, relcalc; t = pickle.loads(sys.stdin.buffer.read()); "
+            "life = relcalc.decomposition_tree(relcalc.life_relation()); "
+            "print(hash(t) == hash(t._key), t == life, life in {t}, len(list(t.walk())))")
+
+    def python(code, seed, stdin=None):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        return subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                               env=env, timeout=60, check=True).stdout
+
+    assert python(load, "2", python(dump, "1")) == b"True True True 326\n"
+
+
+def test_chain_of_eleven_points_visits_each_node_once():
+    # 2036 distinct nodes but millions of root-to-node paths: topology,
+    # hash and == must visit nodes, not paths
+    start = time.perf_counter()
+    rel = chain(11)
+    a, b = decomposition_tree(rel), decomposition_tree(rel)
+    pairs = impose_topology(rel).maximal_simplices
+    assert hash(a) == hash(b) and a == b
+    assert time.perf_counter() - start < 5.0
+    assert len(list(a.walk())) == 2 ** 11 - 12
+    assert pairs == {frozenset((f"x{i}", f"x{j}")) for i in range(11) for j in range(i)}
 
 
 def test_impose_topology_frozen_rules():
