@@ -218,13 +218,7 @@ def simulate(rule, init, steps):
         init = [_STATES.get(c, c) for c in init]
     row = tuple(init)
     width = len(row)
-    if width < 3:
-        raise DomainError(f"width {width} is below the 3-cell neighborhood")
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
-    if width * (steps + 1) > MAX_TABLE_CELLS:
-        raise DomainError(
-            f"trajectory would need {width} x {steps + 1} cells (limit {MAX_TABLE_CELLS})")
+    _check_grid(width, steps)
     mask = (1 << width) - 1
     minterms = [pattern[:3] for pattern in _forbidden_patterns(rule.relation, RULE_POINTS)
                 if pattern[3] == (3, 0)]
@@ -240,6 +234,21 @@ def simulate(rule, init, steps):
     traj = Trajectory(rule.number, width, steps, rows)
     traj._set("_grid", int(digits, 2))
     return traj
+
+
+def _check_grid(width, steps):
+    """Raise DomainError unless simulate can run a row of width cells for steps steps.
+
+    The row needs the 3-cell neighborhood, steps must be nonnegative, and
+    the grid of width * (steps + 1) cells must fit MAX_TABLE_CELLS.
+    """
+    if width < 3:
+        raise DomainError(f"width {width} is below the 3-cell neighborhood")
+    if steps < 0:
+        raise DomainError("steps must be nonnegative")
+    if width * (steps + 1) > MAX_TABLE_CELLS:
+        raise DomainError(
+            f"trajectory would need {width} x {steps + 1} cells (limit {MAX_TABLE_CELLS})")
 
 
 # Byte translation from binary digits to a row's cells (one 0/1 byte each).

@@ -212,6 +212,7 @@ def cmd_project(args, out):
 
 
 def cmd_simulate(args, out):
+    automata._check_grid(args.width, args.steps)  # before a row of that width is built
     if args.init is not None:
         init = args.init.strip()
     elif args.random:

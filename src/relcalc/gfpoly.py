@@ -11,7 +11,7 @@ import math
 import re
 
 from .errors import DomainError, FormatError, UnsupportedError
-from .relation import Relation, Value, decode_point
+from .relation import Relation, Value, complement, members, trivial_relation
 
 
 def _is_prime(n):
@@ -125,12 +125,7 @@ def relation_to_polynomial(rel):
     variables = rel.domain.points
     nvars = len(variables)
     result = zero(p, variables)
-    full = (1 << rel.size) - 1
-    comp_bits = ~rel.bits & full
-    for i in range(rel.size):
-        if not comp_bits >> i & 1:
-            continue
-        t = decode_point(i, nvars, p)
+    for t in members(complement(rel)):
         indicator = constant(p, variables, 1)
         for j, s in enumerate(t):
             # 1 - (x_j - s)^(p-1), expanded by the binomial theorem
@@ -154,8 +149,7 @@ def polynomial_to_relation(poly, domain):
         raise DomainError(f"variables {sorted(missing)} are not domain points")
     positions = [domain.index(v) for v in poly.variables]
     value = 0
-    for i in range(domain.size):
-        t = decode_point(i, domain.k, domain.q)
+    for i, t in enumerate(members(trivial_relation(domain))):
         states = tuple(t[j] for j in positions)
         if eval_polynomial(poly, states) == 0:
             value |= 1 << i

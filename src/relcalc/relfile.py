@@ -9,9 +9,10 @@ A record is a block of `key value` lines:
 
 `bits` holds one character per ordinal, ordinal 0 first.  Large tables
 may use `bits_hex` instead, most significant nibble covering ordinals
-0-3, zero padding at the tail.  Point names may be separated by spaces
-or commas.  Unknown keys are ignored, so report records with extra
-fields read back as plain relations.  Blank lines separate records.
+0-3, zero padding at the tail; a record holds one of the two, not both.
+Point names may be separated by spaces or commas.  Unknown keys are
+ignored, so report records with extra fields read back as plain
+relations.  Blank lines separate records.
 """
 
 from .errors import FormatError
@@ -65,19 +66,18 @@ def _parse_block(start, block):
         raise FormatError(f"line {lineno}: empty point list")
     domain = Domain(points, q)
 
-    if "bits" in fields:
-        lineno, bits = fields["bits"]
-        try:
-            return make_relation(domain, bits)
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-    if "bits_hex" in fields:
-        lineno, bits = fields["bits_hex"]
-        try:
-            return relation_from_hex(domain, bits)
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-    raise FormatError(f"record at line {start}: needs a bits or bits_hex field")
+    tables = [(key, *fields[key]) for key in ("bits", "bits_hex") if key in fields]
+    if not tables:
+        raise FormatError(f"record at line {start}: needs a bits or bits_hex field")
+    if len(tables) > 1:
+        lineno = max(line for _, line, _ in tables)
+        raise FormatError(f"line {lineno}: record has both bits and bits_hex")
+    key, lineno, text = tables[0]
+    parse = make_relation if key == "bits" else relation_from_hex
+    try:
+        return parse(domain, text)
+    except FormatError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
 
 
 def parse_relations(text):

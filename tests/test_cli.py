@@ -6,9 +6,12 @@ import pytest
 
 from relcalc import (
     automata,
+    canonical_decomposition,
     classify_all_rules,
     format_relation,
+    parse_relation,
     parse_relations,
+    project,
     structure,
     wolfram_relation,
 )
@@ -231,6 +234,22 @@ def test_simulate_over_cell_limit_fails_fast(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("init", [[], ["--random"]])
+def test_simulate_limit_checked_before_the_row(capsys, monkeypatch, init):
+    # one cell past the limit: refused before a row of that width is drawn or built
+    def refuse(width, seed=None):
+        raise AssertionError("random_row called for a grid past the limit")
+
+    monkeypatch.setattr(automata, "random_row", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "30", *init, "--width", "16777217", "--steps", "0")
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert out == ""
+    assert err == "error: trajectory would need 16777217 x 1 cells (limit 16777216)\n"
+    assert elapsed < 0.5
+
+
 def test_project_golden(capsys, tmp_path):
     f = tmp_path / "r90.rel"
     f.write_text("q 2\npoints p q r s\nbits 1010010101011010\n")
@@ -359,6 +378,49 @@ def test_non_utf8_relation_file_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err == f"error: {f}: byte 3 is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("argv", [["base"], ["topology"], ["project", "--onto", "a"]])
+def test_record_with_both_tables_exits_2(capsys, tmp_path, argv):
+    f = tmp_path / "both.rel"
+    f.write_text("q 2\npoints a b\nbits 0110\nbits_hex 9\n")
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {f}: line 4: record has both bits and bits_hex\n"
+
+
+def test_records_format_life(capsys):
+    code, out, err = run(capsys, "--format", "records", "life")
+    assert code == 0
+    rel = automata.life_relation()
+    records = parse_relations(out)
+    assert len(records) == 10
+    assert records == [rel] + [e.relation for e in canonical_decomposition(rel).consequences]
+
+
+@pytest.mark.parametrize("texts, expect_code", [
+    (["q 2\npoints a b\nbits 1001\n", "q 2\npoints c b\nbits 0110\n"], 0),
+    (["q 2\npoints a b\nbits 1001\n", "q 2\npoints b a\nbits 0110\n"], 1),
+])
+def test_records_format_base(capsys, tmp_path, texts, expect_code):
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"r{i}.rel")
+        paths[-1].write_text(text)
+    code, out, err = run(capsys, "--format", "records", "base", *map(str, paths))
+    assert code == expect_code
+    base = structure.base_relation([parse_relation(text) for text in texts])
+    assert parse_relations(out) == [base]
+    assert (base.bits == 0) == (expect_code == 1)
+
+
+def test_records_format_project(capsys, tmp_path):
+    f = tmp_path / "r90.rel"
+    f.write_text("q 2\npoints p q r s\nbits 1010010101011010\n")
+    code, out, err = run(capsys, "--format", "records", "project", str(f), "--onto", "s,p")
+    assert code == 0
+    assert parse_relations(out) == [project(parse_relation(f.read_text()), ("p", "s"))]
 
 
 @pytest.mark.parametrize("argv", [["topology", "r90.rel", "--rule", "90"],

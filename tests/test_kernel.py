@@ -5,8 +5,11 @@ members, digit_planes, the codimension-1 analysis, the decomposition
 tree and the topology it induces) is compared with tests/oracle.py for
 q in {2, 3, 5} and up to six points.  Point names and faces come in
 arbitrary order, so the axis-reordering path is reached as well.  The algebraic laws are checked
-on the same inputs.
+on the same inputs, and seeded ones on 16 binary points, where reorderings
+have longer cycles than six points allow.
 """
+
+import random
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -82,6 +85,7 @@ def test_project_matches_oracle(domain, data):
     assert oracle.to_members(got) == oracle.o_project(mem, domain.points, face.points)
     by_names = project(rel, face.points)
     assert by_names.domain.points == tuple(p for p in domain.points if p in face.points)
+    assert project(rel, iter(face.points)) == project(rel, list(face.points)) == by_names
     assert oracle.to_members(by_names) == oracle.o_project(
         mem, domain.points, by_names.domain.points)
 
@@ -93,6 +97,7 @@ def test_cylinder_matches_oracle(domain, data):
     proj = oracle.o_project(oracle.to_members(rel), domain.points, face.points)
     got = cylinder(rel, face)
     assert got.domain == domain
+    assert cylinder(rel, iter(face.points)) == got
     assert oracle.to_members(got) == oracle.o_extend(
         proj, face.points, domain.points, domain.q)
 
@@ -106,6 +111,27 @@ def test_permute_points_matches_oracle(domain, data):
     assert oracle.to_members(moved) == oracle.o_project(
         oracle.to_members(rel), domain.points, order)
     assert permute_points(moved, domain.points) == rel
+
+
+def test_laws_on_sixteen_binary_points():
+    rng = random.Random(16)
+    points = tuple(f"x{i}" for i in range(16))
+    domain = Domain(points, 2)
+    for _ in range(4):
+        rel = Relation(domain, rng.getrandbits(domain.size))
+        sparse = Relation(domain, sum(1 << c for c in rng.sample(range(domain.size), 20)))
+        sigma, tau = tuple(rng.sample(points, 16)), tuple(rng.sample(points, 16))
+        assert permute_points(permute_points(rel, sigma), tau) == permute_points(rel, tau)
+        assert permute_points(permute_points(rel, points[::-1]), points) == rel
+        face = tuple(rng.sample(points, rng.randint(1, 15)))
+        for order in (sigma, face, face[::-1]):
+            image = {tuple(t[points.index(p)] for p in order) for t in members(sparse)}
+            assert set(members(project(sparse, Domain(order, 2)))) == image
+        for order in (face, face[::-1]):
+            sub = Domain(order, 2)
+            small = Relation(sub, rng.getrandbits(sub.size))
+            assert project(extend(small, domain), sub) == small
+            assert extend(project(rel, sub), domain) == cylinder(rel, sub)
 
 
 @given(st.sampled_from([(q, k) for q in (2, 3, 5) for k in range(1, 7)]))

@@ -16,6 +16,7 @@ from relcalc import (
     cardinality,
     complement,
     contains,
+    cylinder,
     decode_point,
     empty_relation,
     encode_point,
@@ -217,6 +218,8 @@ def test_extend_single_point():
     ab = Domain(("a", "b"), 2)
     rel = relation_from_members(a, [(0,)])
     assert extend(rel, ab).bit_string() == "1010"
+    with pytest.raises(DomainError, match="extend needs a Domain"):
+        extend(rel, ("a", "b"))
 
 
 def test_extend_then_project_recovers():
@@ -238,8 +241,17 @@ def test_project_examples():
     assert proj.bit_string() == "10010110"
     # face points come back in domain order even if given shuffled
     assert project(r90, ("s", "p", "r")).domain.points == ("p", "r", "s")
+    # any iterable of point names works as a tuple does
+    for face in ("prs", dict.fromkeys("rsp").keys(), ["r", "s", "p"]):
+        assert project(r90, face) == proj
+        assert cylinder(r90, face) == extend(proj, d)
+    assert project(r90, iter(["s", "p", "r"])) == proj
+    assert cylinder(r90, iter(["s", "p", "r"])) == extend(proj, d)
+    assert project(r90, "p").domain.points == ("p",)
     with pytest.raises(DomainError):
         project(r90, ("p", "z"))
+    with pytest.raises(DomainError):
+        cylinder(r90, "pz")
 
 
 def test_project_matches_oracle():

@@ -92,6 +92,11 @@ def test_diagnostics_carry_line_numbers():
         parse_relation("q 2\nbits 10\n")
     with pytest.raises(FormatError, match="bits or bits_hex"):
         parse_relation("q 2\npoints a\n")
+    # bits_hex 9 reads as 1001, so the two tables disagree; they are refused even when they agree
+    for text in ("q 2\npoints a b\nbits 0110\nbits_hex 9\n",
+                 "q 2\npoints a b\nbits_hex 6\nbits 0110\n"):
+        with pytest.raises(FormatError, match="line 4: record has both bits and bits_hex"):
+            parse_relation(text)
     with pytest.raises(FormatError, match="q must be an integer"):
         parse_relation("q two\npoints a\nbits 10\n")
     with pytest.raises(FormatError, match="no value"):
