@@ -67,29 +67,17 @@ class ElementaryRule(Value):
 
     _fields = ("number", "relation")
 
-    def __init__(self, number: int, relation: Relation):
-        self._set("number", number)
-        self._set("relation", relation)
-        self._set("_key", (number, relation))
-
 
 class Trajectory(Value):
-    """Space-time grid of one simulation, rows indexed by time.
+    """Space-time grid of one simulation: steps + 1 rows of width 0/1 states.
 
-    _grid is the packed grid of rows, set only by simulate; a trajectory
-    built through the constructor leaves it None, and check_trajectory
-    packs its rows then.
+    rows is a tuple of tuples indexed by time.  _grid is the packed grid of
+    rows, set only by simulate; a trajectory built through the constructor
+    leaves it None, and check_trajectory packs its rows then.
     """
 
     _fields = ("rule", "width", "steps", "rows")
-
-    def __init__(self, rule: int, width: int, steps: int, rows: tuple[tuple[int, ...], ...]):
-        self._set("rule", rule)
-        self._set("width", width)
-        self._set("steps", steps)
-        self._set("rows", rows)
-        self._set("_key", (rule, width, steps, rows))
-        self._set("_grid", None)
+    _grid = None
 
 
 class ClassificationSummary(Value):
@@ -97,16 +85,11 @@ class ClassificationSummary(Value):
 
     Statuses are mutually exclusive ('reducible', 'irreducible', 'prime');
     reported irreducible totals usually fold the primes back in, since a
-    prime relation is in particular irreducible.
+    prime relation is in particular irreducible.  consequences_1101 holds
+    (rule number, absorbing_consequences of the rule) pairs.
     """
 
     _fields = ("statuses", "consequences_1101")
-
-    def __init__(self, statuses: tuple[str, ...],
-                 consequences_1101: tuple[tuple[int, tuple[tuple[str, str], ...]], ...]):
-        self._set("statuses", statuses)
-        self._set("consequences_1101", consequences_1101)
-        self._set("_key", (statuses, consequences_1101))
 
     @property
     def reducible(self):
@@ -332,8 +315,10 @@ def closed_form(rule, init, x, t):
     Rule 15: u(x, t) = u(x-t, 0) + t mod 2.  Rule 90: u(x, t) =
     sum of C(t, k) u(x-t+2k, 0) mod 2.  The four one-cell automata are
     addressed by their 4-bit tables; for them init may be a single state
-    and x is ignored.
+    and x is ignored.  A negative time t raises DomainError.
     """
+    if t < 0:
+        raise DomainError(f"time {t} is negative")
     if rule in ZERO_DIM_TABLES:
         u0 = init if isinstance(init, int) else init[x or 0]
         if rule == "1100":
@@ -356,15 +341,9 @@ def closed_form(rule, init, x, t):
 
 
 class TrajectoryReport(Value):
-    """Violations found in a trajectory, empty tuples when it is clean."""
+    """Violations in a trajectory, (x, t) or (face points, x, t); empty tuples when clean."""
 
     _fields = ("rule_violations", "consequence_violations")
-
-    def __init__(self, rule_violations: tuple[tuple[int, int], ...],
-                 consequence_violations: tuple[tuple[tuple[str, ...], int, int], ...]):
-        self._set("rule_violations", rule_violations)
-        self._set("consequence_violations", consequence_violations)
-        self._set("_key", (rule_violations, consequence_violations))
 
     @property
     def ok(self):

@@ -38,16 +38,9 @@ def _normalize(terms, nvars, p):
 
 
 class Polynomial(Value):
-    """Reduced-form polynomial: exponent tuples mapped to nonzero coefficients."""
+    """Reduced-form polynomial mod p: sorted (exponent tuple, nonzero coefficient) terms."""
 
     _fields = ("p", "variables", "terms")
-
-    def __init__(self, p: int, variables: tuple[str, ...],
-                 terms: tuple[tuple[tuple[int, ...], int], ...]):
-        self._set("p", p)
-        self._set("variables", variables)
-        self._set("terms", terms)
-        self._set("_key", (p, variables, terms))
 
     def term_dict(self):
         return dict(self.terms)
@@ -72,14 +65,24 @@ def constant(p, variables, c):
     return polynomial(p, variables, [((0,) * len(variables), c)])
 
 
+def _position(variables, name):
+    """Index of name in the variables tuple; DomainError if it is not there."""
+    try:
+        return variables.index(name)
+    except ValueError:
+        raise DomainError(f"unknown variable {name!r}, variables are {variables}") from None
+
+
 def variable(p, variables, name):
     variables = tuple(variables)
     exps = [0] * len(variables)
-    exps[variables.index(name)] = 1
+    exps[_position(variables, name)] = 1
     return polynomial(p, variables, [(tuple(exps), 1)])
 
 
 def add(*polys):
+    if not polys:
+        raise DomainError("add needs at least one polynomial")
     first = polys[0]
     for other in polys[1:]:
         if other.p != first.p or other.variables != first.variables:
@@ -178,7 +181,7 @@ def sigma_polynomial(p, variables, k, over=None):
     for combo in itertools.combinations(names, k):
         exps = [0] * len(variables)
         for name in combo:
-            exps[variables.index(name)] = 1
+            exps[_position(variables, name)] = 1
         terms.append((tuple(exps), 1))
     return polynomial(p, variables, terms)
 

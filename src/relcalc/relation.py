@@ -37,16 +37,31 @@ MAX_TABLE_CELLS = 2 ** 24
 class Value:
     """Base of relcalc's immutable value objects.
 
-    A subclass names its constructor fields in _fields, and its __init__
-    stores each through _set along with _key, the tuple of their values.
-    Instances compare equal when they are of the same class with equal
-    _key, hash as hash(_key), print as Name(field=value, ...), and refuse
-    assignment and deletion.  Other attributes set in __init__ are derived
-    from the fields and stay out of _key; copy and pickle carry them along.
+    A subclass names its fields in _fields.  The constructor binds values by
+    position, then by name, in that order, and stores each field, then _key,
+    the tuple of their values; a missing, extra, unknown or repeated field
+    raises TypeError.  Instances compare equal when they are of the same
+    class with equal _key, hash as hash(_key), print as Name(field=value,
+    ...), and refuse assignment and deletion.  Attributes a subclass derives
+    from the fields and stores through _set stay out of _key; copy and
+    pickle carry them along.
     """
 
     _fields = ()
     _set = object.__setattr__
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            rest = fields[len(values):]
+            if len(values) > len(fields) or set(named) != set(rest):
+                raise TypeError(f"{type(self).__qualname__}() takes the fields {fields}, "
+                                f"got {len(values)} by position and {sorted(named)} by name")
+            values += tuple(named[name] for name in rest)
+        store = self._set
+        for _ in map(store, fields, values):  # stores from C, faster than a loop over zip
+            pass
+        store("_key", values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -144,6 +159,8 @@ def encode_point(states, q):
     """Ordinal of a state tuple: sum of states[j] * q^j."""
     total = 0
     for j, s in enumerate(states):
+        if not isinstance(s, int):
+            raise DomainError(f"state {s!r} is not an integer")
         if not 0 <= s < q:
             raise DomainError(f"state {s} out of range [0, {q})")
         total += s * q ** j

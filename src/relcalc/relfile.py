@@ -15,7 +15,7 @@ ignored, so report records with extra fields read back as plain
 relations.  Blank lines separate records.
 """
 
-from .errors import FormatError
+from .errors import DomainError, FormatError, RelcalcError
 from .relation import Domain, make_relation, relation_from_hex
 
 # Tables with more cells than this are written as bits_hex.
@@ -60,11 +60,16 @@ def _parse_block(start, block):
         q = int(q_text)
     except ValueError:
         raise FormatError(f"line {lineno}: q must be an integer, got {q_text!r}") from None
+    if q < 2:
+        raise DomainError(f"line {lineno}: state count must be >= 2, got {q}")
     lineno, points_text = need("points")
     points = tuple(p for p in points_text.replace(",", " ").split() if p)
     if not points:
         raise FormatError(f"line {lineno}: empty point list")
-    domain = Domain(points, q)
+    try:
+        domain = Domain(points, q)
+    except RelcalcError as exc:  # duplicate points, or a table over the size limit
+        raise type(exc)(f"line {lineno}: {exc}") from None
 
     tables = [(key, *fields[key]) for key in ("bits", "bits_hex") if key in fields]
     if not tables:
@@ -97,15 +102,15 @@ def parse_relation(text):
 
 
 def _read(path, parse):
-    """parse applied to the text of a file; a FormatError names the path."""
+    """parse applied to the text of a file; an error names the path and keeps its class."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
         return parse(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    except RelcalcError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def read_relation(path):

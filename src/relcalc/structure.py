@@ -38,23 +38,11 @@ class ConsequenceEntry(Value):
 
     _fields = ("face", "relation")
 
-    def __init__(self, face: Domain, relation: Relation):
-        self._set("face", face)
-        self._set("relation", relation)
-        self._set("_key", (face, relation))
-
 
 class CanonicalDecomposition(Value):
     """Codimension-1 consequences plus the principal factor that completes them."""
 
     _fields = ("source", "consequences", "principal_factor")
-
-    def __init__(self, source: Relation, consequences: tuple[ConsequenceEntry, ...],
-                 principal_factor: Relation):
-        self._set("source", source)
-        self._set("consequences", consequences)
-        self._set("principal_factor", principal_factor)
-        self._set("_key", (source, consequences, principal_factor))
 
     @property
     def status(self):
@@ -81,13 +69,8 @@ class DecompositionTree(Value):
 
     _fields = ("relation", "status", "children", "principal_factor")
 
-    def __init__(self, relation: Relation, status: str, children: tuple["DecompositionTree", ...],
-                 principal_factor: Relation | None):
-        self._set("relation", relation)
-        self._set("status", status)
-        self._set("children", children)
-        self._set("principal_factor", principal_factor)
-        self._set("_key", (relation, status, children, principal_factor))
+    def __init__(self, *values, **named):
+        Value.__init__(self, *values, **named)
         self._set("_hash", hash(self._key))
 
     def __hash__(self):
@@ -138,14 +121,9 @@ class DecompositionTree(Value):
 
 
 class SimplicialComplex(Value):
-    """Point set plus the inclusion-maximal simplices carrying constraints."""
+    """Point names plus the inclusion-maximal simplices (frozensets) carrying constraints."""
 
     _fields = ("points", "maximal_simplices")
-
-    def __init__(self, points: tuple[str, ...], maximal_simplices: frozenset[frozenset[str]]):
-        self._set("points", points)
-        self._set("maximal_simplices", maximal_simplices)
-        self._set("_key", (points, maximal_simplices))
 
     def sorted_simplices(self):
         """Simplices ordered by point position for stable display."""

@@ -196,6 +196,12 @@ def test_closed_form_rule90_matches_simulation():
                 assert traj.rows[t][x] == closed_form(90, init, x, t)
 
 
+@pytest.mark.parametrize("rule, init, x", [(90, (0, 1, 0), 1), (15, (0, 1, 0), 1), ("0110", 1, None)])
+def test_closed_form_refuses_negative_time(rule, init, x):
+    with pytest.raises(DomainError, match="time -3 is negative"):
+        closed_form(rule, init, x, -3)
+
+
 def test_closed_form_unknown_rule():
     with pytest.raises(UnsupportedError):
         closed_form(110, (0, 1, 0), 0, 1)

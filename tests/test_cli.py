@@ -380,6 +380,21 @@ def test_non_utf8_relation_file_exits_2(capsys, tmp_path, argv):
     assert err == f"error: {f}: byte 3 is not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# one state\nq 1\npoints a\nbits 0\n", "line 2: state count must be >= 2, got 1"),
+    ("q 2\npoints a a\nbits 0110\n", "line 2: duplicate point names in ('a', 'a')"),
+], ids=["state_count", "duplicate_points"])
+def test_domain_error_in_a_file_names_file_and_line(capsys, tmp_path, text, message):
+    good = tmp_path / "good.rel"
+    good.write_text("q 2\npoints a\nbits 01\n")
+    bad = tmp_path / "bad.rel"
+    bad.write_text(text)
+    code, out, err = run(capsys, "base", str(good), str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["base"], ["topology"], ["project", "--onto", "a"]])
 def test_record_with_both_tables_exits_2(capsys, tmp_path, argv):
     f = tmp_path / "both.rel"

@@ -173,6 +173,16 @@ def test_add_multiply():
         multiply(a, variable(3, vars_, "a"))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: variable(2, ["a"], "b"), "unknown variable 'b'"),
+    (lambda: sigma_polynomial(2, ("a", "b"), 1, over=("c",)), "unknown variable 'c'"),
+    (lambda: add(), "add needs at least one polynomial"),
+], ids=["variable", "sigma_polynomial", "add"])
+def test_bad_arguments_raise_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_eval_polynomial_guards():
     poly = rule_poly(30)
     with pytest.raises(DomainError):

@@ -63,6 +63,16 @@ def test_encode_decode_guards():
         decode_point(-1, 3, 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: encode_point((0.5, 1), 2),
+    lambda: contains(trivial_relation(Domain(("a", "b"), 2)), (0.5, 1)),
+    lambda: relation_from_members(Domain(("a", "b"), 2), [(0.5, 1)]),
+], ids=["encode_point", "contains", "relation_from_members"])
+def test_non_integer_state_refused(call):
+    with pytest.raises(DomainError, match=r"state 0\.5 is not an integer"):
+        call()
+
+
 def test_domain_basics():
     d = Domain(("p", "q", "r"), 2)
     assert d.k == 3

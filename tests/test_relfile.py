@@ -1,10 +1,14 @@
 """Relation file format: parsing, formatting, diagnostics."""
 
+import re
+
 import pytest
 
 from relcalc import (
     Domain,
+    DomainError,
     FormatError,
+    UnsupportedError,
     format_relation,
     life_relation,
     make_relation,
@@ -114,6 +118,21 @@ def test_read_and_write_files(tmp_path):
     multi = tmp_path / "pair.rel"
     multi.write_text(format_relation(R30) + "\n" + format_relation(R30))
     assert read_relations(multi) == [R30, R30]
+
+
+@pytest.mark.parametrize("text, line, error, message", [
+    ("# one state\nq 1\npoints a\nbits 0\n", 2, DomainError, "state count must be >= 2, got 1"),
+    ("q 2\npoints a a\nbits 0110\n", 2, DomainError, r"duplicate point names in \('a', 'a'\)"),
+    ("q 2\npoints " + " ".join(f"v{i}" for i in range(25)) + "\nbits 0\n", 2, UnsupportedError,
+     r"table would need 2\^25 cells"),
+], ids=["state_count", "duplicate_points", "table_limit"])
+def test_domain_errors_carry_the_field_line(tmp_path, text, line, error, message):
+    with pytest.raises(error, match=f"^line {line}: {message}"):
+        parse_relation(text)
+    path = tmp_path / "bad.rel"
+    path.write_text(text)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: line {line}: {message}"):
+        read_relation(path)
 
 
 def test_read_errors_name_the_file(tmp_path):

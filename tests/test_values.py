@@ -22,6 +22,7 @@ from relcalc import (
     Trajectory,
     TrajectoryReport,
 )
+from relcalc.relation import Value
 
 AB = Domain(("a", "b"), 2)
 REL = Relation(AB, 3)
@@ -88,6 +89,27 @@ def test_value_class(cls, fields, text):
         assert type(clone) is cls
         assert clone == obj
         assert repr(clone) == text
+
+
+def test_cases_cover_every_value_class():
+    found, pending = set(), [Value]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            pending.append(sub)
+            if sub.__module__.startswith("relcalc."):
+                found.add(sub)
+    assert found == {cls for cls, _, _ in CASES}
+
+
+@pytest.mark.parametrize("cls, fields, text", CASES, ids=[c[0].__name__ for c in CASES])
+def test_constructor_refuses_unknown_and_repeated_fields(cls, fields, text):
+    values = tuple(fields.values())
+    with pytest.raises(TypeError):
+        cls(*values, extra=None)
+    name = next(iter(fields))
+    with pytest.raises(TypeError):
+        cls(*values, **{name: values[0]})
+    assert cls(*values[:1], **dict(list(fields.items())[1:])) == cls(*values)
 
 
 def test_copies_keep_derived_state():
