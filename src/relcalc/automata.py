@@ -197,9 +197,7 @@ def simulate(rule, init, steps):
     """
     if isinstance(rule, int):
         rule = wolfram_relation(rule)
-    if isinstance(init, str):
-        init = [_STATES.get(c, c) for c in init]
-    row = tuple(init)
+    row = _row_of(init)
     width = len(row)
     _check_grid(width, steps)
     mask = (1 << width) - 1
@@ -237,6 +235,11 @@ def _check_grid(width, steps):
 # Byte translation from binary digits to a row's cells (one 0/1 byte each).
 _CELLS = bytes.maketrans(b"01", b"\0\1")
 _STATES = {"0": 0, "1": 1}
+
+
+def _row_of(init):
+    """init as a tuple of states; a string is read as 0/1 characters."""
+    return tuple(_STATES.get(c, c) for c in init) if isinstance(init, str) else tuple(init)
 
 
 def _pack_rows(rows, width):
@@ -315,12 +318,26 @@ def closed_form(rule, init, x, t):
     Rule 15: u(x, t) = u(x-t, 0) + t mod 2.  Rule 90: u(x, t) =
     sum of C(t, k) u(x-t+2k, 0) mod 2.  The four one-cell automata are
     addressed by their 4-bit tables; for them init may be a single state
-    and x is ignored.  A negative time t raises DomainError.
+    and x may be None.  init is read as simulate reads its row: a
+    sequence of 0/1 states or a string of 0/1 characters.  Any other
+    state, an empty row, an x or t that is not an int, or a negative
+    time t raises DomainError.
     """
+    if not isinstance(t, int):
+        raise DomainError(f"time {t!r} is not an int")
     if t < 0:
         raise DomainError(f"time {t} is negative")
-    if rule in ZERO_DIM_TABLES:
-        u0 = init if isinstance(init, int) else init[x or 0]
+    one_cell = rule in ZERO_DIM_TABLES
+    if not (isinstance(x, int) or one_cell and x is None):
+        raise DomainError(f"position {x!r} is not an int")
+    try:
+        row = (init,) if one_cell and isinstance(init, int) else _row_of(init)
+        _pack_cells(bytes(row))  # refuses an empty row and any state other than 0/1
+    except (TypeError, ValueError):
+        raise DomainError(f"initial row {init!r} is not a nonempty row of 0/1 states") from None
+    width = len(row)
+    if one_cell:
+        u0 = row[(x or 0) % width]
         if rule == "1100":
             return u0 if t == 0 else 0
         if rule == "0110":
@@ -329,13 +346,11 @@ def closed_form(rule, init, x, t):
             return u0
         return u0 if t == 0 else 1
     if rule == 15:
-        width = len(init)
-        return (init[(x - t) % width] + t) % 2
+        return (row[(x - t) % width] + t) % 2
     if rule == 90:
-        width = len(init)
         total = 0
         for k in range(t + 1):
-            total += math.comb(t, k) * init[(x - t + 2 * k) % width]
+            total += math.comb(t, k) * row[(x - t + 2 * k) % width]
         return total % 2
     raise UnsupportedError(f"no closed form integrated for rule {rule!r}")
 

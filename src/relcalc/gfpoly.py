@@ -50,10 +50,16 @@ class Polynomial(Value):
 
 
 def polynomial(p, variables, terms):
-    """Build a reduced Polynomial from any (exponents, coefficient) pairs."""
+    """Build a reduced Polynomial from any (exponents, coefficient) pairs.
+
+    A variable named twice raises DomainError: its two exponents would
+    print as one name and read back as a single variable.
+    """
     if not _is_prime(p):
         raise UnsupportedError(f"modulus {p} is not prime")
     variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise DomainError(f"variable named twice in {variables}")
     return Polynomial(p, variables, _normalize(terms, len(variables), p))
 
 
@@ -175,6 +181,8 @@ def sigma_polynomial(p, variables, k, over=None):
     """The kth elementary symmetric polynomial in a subset of the variables."""
     variables = tuple(variables)
     names = tuple(over) if over is not None else variables
+    if len(set(names)) != len(names):
+        raise DomainError(f"variable named twice in {names}")
     if not 0 <= k <= len(names):
         raise DomainError(f"symmetric index {k} out of range [0, {len(names)}]")
     terms = []

@@ -185,14 +185,18 @@ def make_relation(domain, bits):
         if len(text) != domain.size:
             raise FormatError(
                 f"bit table has {len(text)} characters, domain needs {domain.size}")
-        bad = set(text) - {"0", "1"}
-        if bad:
+        if text.count("0") + text.count("1") != len(text):
+            bad = set(text) - {"0", "1"}
             raise FormatError(f"bit table contains {sorted(bad)}, only 0/1 allowed")
         value = int(text[::-1], 2)
     elif isinstance(bits, int):
         value = bits
     else:
-        seq = list(bits)
+        try:
+            seq = list(bits)
+        except TypeError:
+            raise FormatError(
+                f"bit table {bits!r} is not an int, a 0/1 string or a sequence of 0/1") from None
         if len(seq) != domain.size:
             raise FormatError(
                 f"bit sequence has {len(seq)} entries, domain needs {domain.size}")

@@ -12,6 +12,7 @@ from .relation import (
     Domain,
     Relation,
     Value,
+    _arrange,
     cardinality,
     complement,
     cylinder,
@@ -19,9 +20,7 @@ from .relation import (
     intersect,
     is_empty,
     is_trivial,
-    permute_points,
     project,
-    rename_points,
     trivial_relation,
     union,
 )
@@ -316,24 +315,20 @@ def equivalent_under(entry_a, entry_b, symmetric_points):
 
     Points outside the symmetric set must coincide; symmetric points may
     be relabeled by any bijection between the two faces' symmetric parts.
+    One digit arrangement per bijection; different state counts never match.
     """
     sym = set(symmetric_points)
-    pts_a, pts_b = set(entry_a.face.points), set(entry_b.face.points)
-    if pts_a - sym != pts_b - sym:
+    rel_a, rel_b = entry_a.relation, entry_b.relation
+    dom_a, dom_b = rel_a.domain, rel_b.domain
+    if (dom_a.q != dom_b.q or set(dom_a.points) - sym != set(dom_b.points) - sym
+            or dom_a.k != dom_b.k or cardinality(rel_a) != cardinality(rel_b)):
         return False
-    sym_a = sorted(pts_a & sym)
-    sym_b = sorted(pts_b & sym)
-    if len(sym_a) != len(sym_b):
-        return False
-    if cardinality(entry_a.relation) != cardinality(entry_b.relation):
-        return False
-    target_order = entry_b.face.points
-    for image in itertools.permutations(sym_b):
-        mapping = dict(zip(sym_a, image))
-        renamed = rename_points(entry_a.relation, mapping)
-        if permute_points(renamed, target_order).bits == entry_b.relation.bits:
-            return True
-    return False
+    place = {p: i for i, p in enumerate(dom_b.points)}
+    fixed = {t: place[p] for t, p in enumerate(dom_a.points) if p not in sym}
+    moving = [dom_a.index(p) for p in sorted(sym.intersection(dom_a.points))]
+    images = itertools.permutations(place[p] for p in sorted(sym.intersection(dom_b.points)))
+    return any(_arrange(rel_a.bits, dom_a.q, dom_a.k, fixed | dict(zip(moving, image)))
+               == rel_b.bits for image in images)
 
 
 def group_by_symmetry(entries, symmetric_points):

@@ -168,6 +168,29 @@ def o_principal_factor(member_set, points, q):
     return member_set | (full - joint)
 
 
+def o_equivalent_under(a, b, symmetric_points):
+    """Whether a and b, each (member_set, points, q), match up to permuting the symmetric points.
+
+    The state counts must agree.  Then every bijection of a's symmetric
+    points onto b's is tried, the other points fixed: each member of a is
+    renamed as an assignment of states to points and read in b's order.
+    """
+    (members_a, points_a, q_a), (members_b, points_b, q_b) = a, b
+    if q_a != q_b or len(points_a) != len(points_b):
+        return False
+    sym = set(symmetric_points)
+    sym_a = [p for p in points_a if p in sym]
+    for image in itertools.permutations([p for p in points_b if p in sym]):
+        rename = dict(zip(sym_a, image))
+        names = [rename.get(p, p) for p in points_a]
+        if sorted(names) != sorted(points_b):
+            continue
+        moved = {tuple(dict(zip(names, t))[p] for p in points_b) for t in members_a}
+        if moved == members_b:
+            return True
+    return False
+
+
 def o_simulate(number, init, steps):
     """Rows of rule `number` from `init`, cell by cell on a periodic row."""
     width = len(init)

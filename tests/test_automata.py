@@ -202,6 +202,25 @@ def test_closed_form_refuses_negative_time(rule, init, x):
         closed_form(rule, init, x, -3)
 
 
+@pytest.mark.parametrize("rule, init, x, t, message", [
+    (15, (0, 2, 0), 1, 0, r"initial row \(0, 2, 0\)"),
+    ("1001", 5, None, 2, "initial row 5 "),
+    (90, (), 0, 1, r"initial row \(\) "),
+    (90, (0, 1, 0), 1.5, 1, "position 1.5 is not an int"),
+    (15, (1, 0, 1), 0, 2.0, "time 2.0 is not an int"),
+], ids=["state-2", "one-cell-state-5", "empty-row", "float-x", "float-t"])
+def test_closed_form_refuses_what_simulate_refuses(rule, init, x, t, message):
+    with pytest.raises(DomainError, match=message):
+        closed_form(rule, init, x, t)
+
+
+def test_closed_form_reads_strings_of_bits():
+    traj = simulate(15, "010", 2)
+    assert [[closed_form(15, "010", x, t) for x in range(3)] for t in range(3)] == [
+        list(row) for row in traj.rows]
+    assert closed_form("0110", "1", None, 1) == 0
+
+
 def test_closed_form_unknown_rule():
     with pytest.raises(UnsupportedError):
         closed_form(110, (0, 1, 0), 0, 1)

@@ -183,6 +183,18 @@ def test_bad_arguments_raise_domain_error(call, message):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: polynomial(3, ("a", "a"), [((1, 1), 1)]),
+    lambda: variable(2, ("a", "a"), "a"),
+    lambda: parse_polynomial("a+b", 2, variables=("a", "b", "a")),
+    lambda: sigma_polynomial(2, ("a", "b"), 1, over=("a", "a")),
+], ids=["polynomial", "variable", "parse_polynomial", "sigma_polynomial"])
+def test_variable_named_twice(call):
+    """Two exponents under one name would print as one variable (aa reads back as a^2)."""
+    with pytest.raises(DomainError, match="variable named twice"):
+        call()
+
+
 def test_eval_polynomial_guards():
     poly = rule_poly(30)
     with pytest.raises(DomainError):

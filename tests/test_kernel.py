@@ -3,25 +3,30 @@
 Every kernel entry point (extend, project, cylinder, permute_points,
 members, digit_planes, the codimension-1 analysis, the decomposition
 tree and the topology it induces) is compared with tests/oracle.py for
-q in {2, 3, 5} and up to six points.  Point names and faces come in
-arbitrary order, so the axis-reordering path is reached as well.  The algebraic laws are checked
+q in {2, 3, 5} and up to six points, the symmetry classes for up to
+four.  Point names and faces come in arbitrary order, so the
+axis-reordering path is reached as well.  The algebraic laws are checked
 on the same inputs, and seeded ones on 16 binary points, where reorderings
 have longer cycles than six points allow.
 """
 
+import itertools
 import random
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from relcalc import (
+    ConsequenceEntry,
     Domain,
     Relation,
     canonical_decomposition,
     cylinder,
     decomposition_tree,
     digit_planes,
+    equivalent_under,
     extend,
+    group_by_symmetry,
     impose_topology,
     intersect,
     is_empty,
@@ -32,6 +37,7 @@ from relcalc import (
     permute_points,
     project,
     proper_consequences,
+    relation_from_members,
 )
 
 import oracle
@@ -39,6 +45,8 @@ import oracle
 LETTERS = tuple("abcdefgh")
 # q^k stays at most 3125 cells so the set oracle stays quick.
 SHAPES = tuple((q, k) for q, top in ((2, 6), (3, 6), (5, 5)) for k in range(1, top + 1))
+# Symmetry classes try up to k! bijections per pair, so they stay smaller.
+SYMMETRY_SHAPES = tuple((q, k) for q, k in SHAPES if k <= (3 if q == 5 else 4))
 
 
 def tables(size):
@@ -236,3 +244,51 @@ def test_reconstruction(domain, data):
         assert ext == cylinder(rel, entry.face)
         joint = intersect(joint, ext)
     assert joint == rel
+
+
+def symmetric_copy(draw, rel, sym):
+    """rel with its symmetric points renamed to other symmetric names and all points reordered."""
+    points = rel.domain.points
+    moving = [p for p in points if p in sym]
+    rename = dict(zip(moving, draw(st.permutations(sorted(sym)))))
+    names = [rename.get(p, p) for p in points]
+    order = tuple(draw(st.permutations(names)))
+    assignments = [dict(zip(names, t)) for t in oracle.member_list(rel)]
+    return relation_from_members(Domain(order, rel.domain.q),
+                                 [tuple(a[p] for p in order) for a in assignments])
+
+
+def symmetry_partner(draw, rel, sym):
+    """A relabelled, reordered copy of rel, a random relation, or a copy's bits over another q."""
+    mode = draw(st.sampled_from(("copy", "random table", "random shape", "other q")))
+    if mode == "random shape":
+        return relation(draw, draw(domains(SYMMETRY_SHAPES)))
+    copy = symmetric_copy(draw, rel, sym)
+    if mode == "random table":
+        return relation(draw, copy.domain)
+    others = [q for q, k in SYMMETRY_SHAPES
+              if k == copy.domain.k and q != copy.domain.q and copy.bits >> q ** k == 0]
+    if mode == "other q" and others:
+        return Relation(Domain(copy.domain.points, draw(st.sampled_from(others))), copy.bits)
+    return copy
+
+
+@given(domains(SYMMETRY_SHAPES), st.sets(st.sampled_from(LETTERS)), st.data())
+def test_symmetry_classes_match_oracle(domain, sym, data):
+    """equivalent_under on every pair and the classes of group_by_symmetry, against the oracle."""
+    rels = [relation(data.draw, domain)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        rels.append(symmetry_partner(data.draw, rels[0], sym))
+    entries = [ConsequenceEntry(r.domain, r) for r in rels]
+    views = [(oracle.to_members(r), r.domain.points, r.domain.q) for r in rels]
+    indices = range(len(rels))
+    want = {(i, j): oracle.o_equivalent_under(views[i], views[j], sym)
+            for i, j in itertools.product(indices, repeat=2)}
+    assert {pair: equivalent_under(entries[pair[0]], entries[pair[1]], sym)
+            for pair in want} == want
+    classes = []
+    for i in indices:
+        if not any(i in cls for cls in classes):
+            classes.append([j for j in indices if want[i, j]])
+    got = group_by_symmetry(entries, sym)
+    assert [[next(j for j in indices if entries[j] is e) for e in cls] for cls in got] == classes

@@ -149,10 +149,22 @@ def test_make_relation_guards():
     with pytest.raises(FormatError, match="entry '1' is not 0/1"):
         make_relation(d, [1, 0, "1", 0])
     assert make_relation(d, [True, False, True, False]) == make_relation(d, "1010")
+    for bits in (1.5, None):
+        with pytest.raises(FormatError, match="not an int, a 0/1 string or a sequence of 0/1"):
+            make_relation(d, bits)
     with pytest.raises(FormatError):
         Relation(d, 1 << 4)
     with pytest.raises(FormatError):
         Relation(d, -1)
+
+
+@pytest.mark.parametrize("position", [0, 2048, 4095])
+def test_make_relation_bad_character_in_large_text(position):
+    d = Domain(tuple(f"x{i}" for i in range(12)), 2)
+    text = "01" * 2048
+    text = text[:position] + "2" + text[position + 1:]
+    with pytest.raises(FormatError, match=r"bit table contains \['2'\], only 0/1 allowed"):
+        make_relation(d, text)
 
 
 def test_hex_string_roundtrip():

@@ -446,6 +446,14 @@ def test_equivalent_under_symmetry():
     assert not equivalent_under(ea, ConsequenceEntry(d2, r3), ("a", "b", "c"))
 
 
+def test_equivalent_under_needs_equal_state_counts():
+    # the same bits on a q=2 and a q=3 table describe different relations
+    entries = [ConsequenceEntry(d, Relation(d, 0b0110))
+               for d in (Domain(("a", "b"), 2), Domain(("a", "b"), 3))]
+    assert not equivalent_under(entries[0], entries[1], ("a", "b"))
+    assert len(group_by_symmetry(entries, ("a", "b"))) == 2
+
+
 def test_life_level_one_symmetry_classes():
     life = life_relation()
     entries = proper_consequences(life, codim=1)
